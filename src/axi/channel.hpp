@@ -4,6 +4,8 @@
 
 #include "axi/flit.hpp"
 
+#include "sim/check.hpp"
+#include "sim/component.hpp"
 #include "sim/context.hpp"
 #include "sim/link.hpp"
 
@@ -84,9 +86,43 @@ public:
         b.set_wake_on_push(&mgr);
         r.set_wake_on_push(&mgr);
     }
+    /// Wakes `mgr` when the subordinate pops a request flit (AW/W/AR) off
+    /// a full link, so a manager may sleep while a request link is full.
+    /// The wake lands on the pop cycle: a manager registered after its
+    /// subordinate ticks in that same cycle and sees the freed slot, one
+    /// registered before it ticks in the next — the cycle tick-all would
+    /// have pushed in either way. Claims the links' drain hooks (asserted
+    /// free: credited NoC staging channels use them for credit returns).
+    void wake_manager_on_request_pop(sim::Component& mgr) {
+        REALM_EXPECTS(!aw.has_on_pop() && !w.has_on_pop() && !ar.has_on_pop(),
+                      name_ + ": request drain hook already claimed");
+        request_space_waiter_ = &mgr;
+        aw.set_on_pop({&request_pop_hook, this, kAwLane});
+        w.set_on_pop({&request_pop_hook, this, kWLane});
+        ar.set_on_pop({&request_pop_hook, this, kArLane});
+    }
     ///@}
 
 private:
+    static constexpr std::uint32_t kAwLane = 0;
+    static constexpr std::uint32_t kWLane = 1;
+    static constexpr std::uint32_t kArLane = 2;
+
+    /// `sim::PopHook` trampoline: `channel` is this channel, `lane` the
+    /// popped request link. Only a pop off a full link frees a slot a
+    /// sleeping manager can be waiting for; a link that had room never
+    /// blocked it, so its pops wake nobody.
+    static void request_pop_hook(void* channel, std::uint32_t lane) {
+        auto* ch = static_cast<AxiChannel*>(channel);
+        const bool was_full =
+            lane == kAwLane  ? ch->aw.occupancy() + 1 == ch->aw.capacity()
+            : lane == kWLane ? ch->w.occupancy() + 1 == ch->w.capacity()
+                             : ch->ar.occupancy() + 1 == ch->ar.capacity();
+        if (was_full) { ch->request_space_waiter_->wake(); }
+    }
+
+    /// Manager woken by `request_pop_hook` (see `wake_manager_on_request_pop`).
+    sim::Component* request_space_waiter_ = nullptr;
     std::string name_;
 };
 

@@ -87,7 +87,7 @@ RegRsp RealmRegFile::unit_access(std::uint32_t unit, axi::Addr offset, const Reg
     case kWritesAcc:
         return req.write ? RegRsp::err() : RegRsp::ok(saturate32(u.writes_accepted()));
     case kIsoCycles:
-        return req.write ? RegRsp::err() : RegRsp::ok(saturate32(u.mr().isolation_cycles()));
+        return req.write ? RegRsp::err() : RegRsp::ok(saturate32(u.isolation_cycles()));
     default: return RegRsp::err();
     }
 }

@@ -133,6 +133,7 @@ public:
         REALM_ENSURES(flits <= in_flight() - pending_total_,
                       "credit release exceeds in-flight credits");
         available_ += flits;
+        if (waiter_ != nullptr) { wake_waiter(waiter_->now()); }
     }
     /// Delayed release: the credits stay in flight until `ready_at`
     /// (returns ride the response network), then mature on `settle`.
@@ -141,6 +142,7 @@ public:
                       "credit release exceeds in-flight credits");
         pending_.push_back(Pending{ready_at, flits});
         pending_total_ += flits;
+        wake_waiter(ready_at);
     }
     /// Cross-shard release: staged thread-privately, committed into the
     /// pending queue at the cycle-edge flush. `ready_at` must be strictly
@@ -150,13 +152,15 @@ public:
         staged_.push_back(Pending{ready_at, flits});
     }
     [[nodiscard]] bool stage_empty() const noexcept { return staged_.empty(); }
-    /// Commits staged releases (kernel barrier; single-threaded).
+    /// Commits staged releases (kernel barrier; single-threaded — which is
+    /// what makes waking a waiter on another shard safe here).
     void flush_edge(sim::Cycle /*now*/) override {
         for (const Pending& p : staged_) {
             REALM_ENSURES(p.flits <= in_flight() - pending_total_,
                           "credit release exceeds in-flight credits");
             pending_.push_back(p);
             pending_total_ += p.flits;
+            wake_waiter(p.ready_at);
         }
         staged_.clear();
     }
@@ -170,6 +174,22 @@ public:
             pending_.pop_front();
         }
     }
+
+    /// \name Credit wait (activity-aware kernel)
+    ///@{
+    /// Registers `taker` — the NI component whose head worm found too few
+    /// credits here — as the pool's waiter, and returns the ready cycle of
+    /// the earliest committed pending return (`kNoCycle` when none is
+    /// pending): no `settle` before it can raise `available()`. A return
+    /// committed later wakes the waiter at its ready cycle — in `release`,
+    /// `release_at`, or the barrier's `flush_edge` for deferred returns —
+    /// once, after which the taker re-registers if it is still short. One
+    /// NI takes from any pool, so a single slot suffices.
+    [[nodiscard]] sim::Cycle wait_for_credits(sim::Component& taker) noexcept {
+        waiter_ = &taker;
+        return pending_.empty() ? sim::kNoCycle : pending_.front().ready_at;
+    }
+    ///@}
 
     /// \name Typed credit-return policy (the drain hook of the staging links)
     ///@{
@@ -235,6 +255,12 @@ private:
         std::uint32_t flits = 0;
     };
 
+    void wake_waiter(sim::Cycle at) noexcept {
+        if (waiter_ == nullptr) { return; }
+        waiter_->wake(at);
+        waiter_ = nullptr;
+    }
+
     std::uint32_t capacity_ = 0;
     std::uint32_t available_ = 0;
     std::uint32_t pending_total_ = 0;
@@ -243,6 +269,11 @@ private:
     /// chunk allocations on the settle hot path).
     sim::FlatRing<Pending> pending_;
     std::vector<Pending> staged_; ///< cross-shard releases awaiting the edge
+    /// Taker asleep on this pool (see `wait_for_credits`); written by the
+    /// taker's tick and by commits, which never run concurrently: deferred
+    /// (sharded mesh) pools commit at the barrier, and the immediate ones
+    /// belong to unsharded fabrics.
+    sim::Component* waiter_ = nullptr;
     /// Return policy (see `configure_return`); unset until wired.
     const sim::SimContext* return_ctx_ = nullptr;
     std::uint32_t return_delay_ = 0;

@@ -200,21 +200,27 @@ void MeshRouter::tick() {
 void MeshRouter::update_activity() {
     // Conservative idle contract, same shape as the ring node: a tick is a
     // no-op iff nothing this router consumes holds a flit (`empty()`, not
-    // `can_pop()` — a flit pushed this cycle needs us next cycle). Credit
-    // waits (including delayed credit returns) and link serialization
-    // windows enable no new work by themselves; progress always rides on a
-    // held flit, which keeps us awake through the checks below.
+    // `can_pop()` — a flit pushed this cycle needs us next cycle), except
+    // for local requests held only by end-to-end credits. Link
+    // serialization windows and link backpressure raise no wake, so a flit
+    // they hold keeps us awake through the checks below.
     for (std::size_t d = 0; d < kMeshDirs; ++d) {
         if (ports_.req_in[d] != nullptr && !ports_.req_in[d]->empty()) { return; }
         if (ports_.rsp_in[d] != nullptr && !ports_.rsp_in[d]->empty()) { return; }
     }
-    if (local_mgr_ != nullptr && !local_mgr_->requests_empty()) { return; }
     for (const axi::AxiChannel* ch : egress_) {
         if (ch != nullptr && !ch->responses_empty()) { return; }
     }
     // A stashed response only progresses as the local manager drains,
     // which raises no wake — never sleep on one.
     if (ni_.has_stashed_responses()) { return; }
+    if (local_mgr_ != nullptr && !local_mgr_->requests_empty()) {
+        // Credit-starved head: sleep until the pool's earliest pending
+        // return; a return committed later wakes us at its ready cycle.
+        CreditPool* pool = ni_.credit_wait(*local_mgr_);
+        if (pool != nullptr) { idle_until(pool->wait_for_credits(*this)); }
+        return;
+    }
     idle_forever();
 }
 
@@ -226,8 +232,8 @@ NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
                  NodeId cols, ic::AddrMap node_map,
                  std::vector<NodeId> subordinate_nodes, NocFlowConfig flow,
                  RoutingPolicy routing, std::vector<unsigned> tile_shards)
-    : rows_{rows}, cols_{cols}, flow_{flow}, routing_{routing},
-      tile_shards_{std::move(tile_shards)} {
+    : rows_{rows}, cols_{cols}, tile_shards_{std::move(tile_shards)},
+      flow_{flow}, routing_{routing} {
     const std::uint32_t n32 = static_cast<std::uint32_t>(rows) * cols;
     REALM_EXPECTS(n32 >= 2, "a mesh needs at least two nodes");
     REALM_EXPECTS(n32 <= 65535, "node ids are 16-bit");
@@ -322,7 +328,7 @@ NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
     // wire_credit_returns; response pools are (manager dest x subordinate
     // src) — responses only ever originate at subordinate nodes.
     for (NodeId d = 0; d < n; ++d) {
-        for (const NodeId s : subordinate_nodes) { book_->rsp(d, s); }
+        for (const NodeId s : subordinate_nodes) { (void)book_->rsp(d, s); }
     }
     book_->freeze();
 

@@ -10,22 +10,19 @@ void NocNi::reset() {
     w_in_flight_.clear();
     r_in_flight_.clear();
     rsp_rr_ = 0;
+    credit_blocked_ = nullptr;
     std::fill(req_seq_.begin(), req_seq_.end(), 0);
     std::fill(rsp_seq_.begin(), rsp_seq_.end(), 0);
-    for (Reorder& ro : req_reorder_) {
-        ro.expected = 0;
-        ro.stash.clear();
-    }
-    for (Reorder& ro : rsp_reorder_) {
-        ro.expected = 0;
-        ro.stash.clear();
+    for (Reorder* ro : {&req_reorder_, &rsp_reorder_}) {
+        std::fill(ro->expected.begin(), ro->expected.end(), 0);
+        ro->stash.clear();
     }
     arena_.clear(); // every stash index was just dropped
     rsp_stash_srcs_.clear();
 }
 
 void NocNi::update_rsp_stash_index(NodeId src) {
-    const bool nonempty = !rsp_reorder_[src].stash.empty();
+    const bool nonempty = rsp_reorder_.has_stashed(src);
     const auto it =
         std::lower_bound(rsp_stash_srcs_.begin(), rsp_stash_srcs_.end(), src);
     const bool present = it != rsp_stash_srcs_.end() && *it == src;
@@ -63,19 +60,19 @@ bool NocNi::try_eject_request(const NocPacket& pkt,
     REALM_EXPECTS(pkt.src < egress.size() && egress[pkt.src] != nullptr,
                   owner_ + ": request ejected at a node without a subordinate");
     axi::AxiChannel& ch = *egress[pkt.src];
-    Reorder& ro = req_reorder_[pkt.src];
-    if (pkt.seq != ro.expected) {
+    std::uint16_t& expected = req_reorder_.expected[pkt.src];
+    if (pkt.seq != expected) {
         // Early arrival on a faster path: hold it (its credits stay in
         // flight) until the injection-order predecessors catch up.
-        const bool inserted = ro.stash_insert(arena_, pkt.seq, pkt);
+        const bool inserted = req_reorder_.stash_insert(arena_, pkt.src, pkt.seq, pkt);
         REALM_ENSURES(inserted, owner_ + ": duplicate request sequence number");
         return true;
     }
     deliver_request(pkt, ch);
-    ++ro.expected;
+    ++expected;
     // Close any gap the stash already covers, in injection order
     // (request delivery never backpressures, so this drains fully).
-    drain_stash(arena_, ro, [&](const NocPacket& p) {
+    drain_stash(arena_, req_reorder_, pkt.src, [&](const NocPacket& p) {
         deliver_request(p, ch);
         return true;
     });
@@ -128,8 +125,7 @@ void NocNi::drain_response_stash(axi::AxiChannel* local_mgr) {
     // Iterate a snapshot (ascending source): draining rewrites the index.
     const std::vector<NodeId> srcs = rsp_stash_srcs_;
     for (const NodeId src : srcs) {
-        Reorder& ro = rsp_reorder_[src];
-        drain_stash(arena_, ro, [&](const NocPacket& p) {
+        drain_stash(arena_, rsp_reorder_, src, [&](const NocPacket& p) {
             return deliver_response(p, *local_mgr);
         });
         update_rsp_stash_index(src);
@@ -139,16 +135,16 @@ void NocNi::drain_response_stash(axi::AxiChannel* local_mgr) {
 bool NocNi::try_eject_response(const NocPacket& pkt, axi::AxiChannel* local_mgr) {
     REALM_EXPECTS(local_mgr != nullptr,
                   owner_ + ": response ejected at a node without a manager");
-    Reorder& ro = rsp_reorder_[pkt.src];
-    if (pkt.seq != ro.expected) {
-        const bool inserted = ro.stash_insert(arena_, pkt.seq, pkt);
+    std::uint16_t& expected = rsp_reorder_.expected[pkt.src];
+    if (pkt.seq != expected) {
+        const bool inserted = rsp_reorder_.stash_insert(arena_, pkt.src, pkt.seq, pkt);
         REALM_ENSURES(inserted, owner_ + ": duplicate response sequence number");
         update_rsp_stash_index(pkt.src);
         return true;
     }
     if (!deliver_response(pkt, *local_mgr)) { return false; }
-    ++ro.expected;
-    drain_stash(arena_, ro, [&](const NocPacket& p) {
+    ++expected;
+    drain_stash(arena_, rsp_reorder_, pkt.src, [&](const NocPacket& p) {
         return deliver_response(p, *local_mgr);
     });
     update_rsp_stash_index(pkt.src);

@@ -75,7 +75,8 @@ public:
         : ctx_{&ctx}, owner_{std::move(owner)}, fc_{fc}, book_{book},
           routing_{routing}, deferred_credits_{deferred_credits},
           req_seq_(num_nodes, 0), rsp_seq_(num_nodes, 0),
-          req_reorder_(num_nodes), rsp_reorder_(num_nodes) {
+          req_reorder_{std::vector<std::uint16_t>(num_nodes, 0), {}},
+          rsp_reorder_{std::vector<std::uint16_t>(num_nodes, 0), {}} {
         REALM_EXPECTS(book_ != nullptr, owner_ + ": NoC NI needs a credit book");
         REALM_EXPECTS(!deferred_credits_ || fc_.credit_return_delay >= 1,
                       owner_ + ": deferred credit returns need delay >= 1");
@@ -130,6 +131,7 @@ public:
     bool inject_requests(NodeId self, axi::AxiChannel& mgr,
                          const ic::AddrMap& map, RouteFn&& route) {
         const std::uint32_t data_flits = fc_.packet_flits(/*data_carrying=*/true);
+        credit_blocked_ = nullptr;
         if (mgr.aw.can_pop()) {
             const axi::AwFlit& head = mgr.aw.front();
             const auto dest_opt = map.decode(head.addr);
@@ -236,6 +238,19 @@ public:
     }
     ///@}
 
+    /// Credit wait: the pool the last `inject_requests` call stopped on for
+    /// lack of credits, when waiting on it is exact — every buffered
+    /// request lane of `mgr` had a visible head during that call (a head
+    /// still in flight on its link would be tried next cycle), so nothing
+    /// but those credits, or an event that wakes the router anyway, can
+    /// change the call's outcome. Null when the call moved a worm or
+    /// stopped for another reason (link backpressure, same-ID ordering).
+    [[nodiscard]] CreditPool* credit_wait(const axi::AxiChannel& mgr) const noexcept {
+        const auto visible = [](const auto& l) { return l.empty() || l.can_pop(); };
+        return visible(mgr.aw) && visible(mgr.w) && visible(mgr.ar) ? credit_blocked_
+                                                                   : nullptr;
+    }
+
     [[nodiscard]] const NocFlowConfig& flow() const noexcept { return fc_; }
     [[nodiscard]] RoutingPolicy routing() const noexcept { return routing_; }
 
@@ -253,38 +268,50 @@ public:
     ///@}
 
 private:
-    /// Per-(pair, network) reorder state at the ejecting side: the next
-    /// expected sequence number and the stash of early arrivals. The stash
-    /// is a small unsorted vector — only multi-path policies ever populate
-    /// it, delivery always looks up the exact `expected` number, and its
-    /// size is bounded by the end-to-end credit pool.
+    /// Per-network reorder state at the ejecting side: the next expected
+    /// sequence number of every source node, and one stash of early
+    /// arrivals shared by all sources. The stash is a small unsorted vector
+    /// — only multi-path policies ever populate it, delivery always looks
+    /// up an exact (source, sequence) pair, and its size is bounded by the
+    /// end-to-end credit pools. Sharing it keeps the per-source state at a
+    /// two-byte counter: a stash vector per source would cost every router
+    /// of a 16x16 mesh 16 KiB, most of the mesh's set-up memory.
     struct Reorder {
-        std::uint16_t expected = 0;
-        /// (seq, arena slot) pairs — the packets themselves live in the
-        /// NI's `PacketArena`, so the per-pair vector stays tiny and all
-        /// stashed payloads share one contiguous slab.
-        std::vector<std::pair<std::uint16_t, PacketArena::Slot>> stash;
+        /// Indexed by source node id.
+        std::vector<std::uint16_t> expected;
+        /// One early arrival; the packet itself lives in the NI's
+        /// `PacketArena`, so all stashed payloads share one slab.
+        struct Stashed {
+            NodeId src = 0;
+            std::uint16_t seq = 0;
+            PacketArena::Slot slot{};
+        };
+        std::vector<Stashed> stash;
 
-        [[nodiscard]] bool stash_insert(PacketArena& arena, std::uint16_t seq,
-                                        const NocPacket& pkt) {
-            for (const auto& [s, slot] : stash) {
-                if (s == seq) { return false; }
+        [[nodiscard]] bool stash_insert(PacketArena& arena, NodeId src,
+                                        std::uint16_t seq, const NocPacket& pkt) {
+            for (const Stashed& e : stash) {
+                if (e.src == src && e.seq == seq) { return false; }
             }
-            stash.emplace_back(seq, arena.acquire(pkt));
+            stash.push_back(Stashed{src, seq, arena.acquire(pkt)});
             return true;
         }
-        /// Removes and returns the entry for `seq`, if stashed.
-        [[nodiscard]] bool stash_take(PacketArena& arena, std::uint16_t seq,
-                                      NocPacket& out) {
+        /// Removes and returns the entry for (`src`, `seq`), if stashed.
+        [[nodiscard]] bool stash_take(PacketArena& arena, NodeId src,
+                                      std::uint16_t seq, NocPacket& out) {
             for (auto it = stash.begin(); it != stash.end(); ++it) {
-                if (it->first == seq) {
-                    out = std::move(arena[it->second]);
-                    arena.release(it->second);
+                if (it->src == src && it->seq == seq) {
+                    out = std::move(arena[it->slot]);
+                    arena.release(it->slot);
                     stash.erase(it);
                     return true;
                 }
             }
             return false;
+        }
+        [[nodiscard]] bool has_stashed(NodeId src) const noexcept {
+            return std::any_of(stash.begin(), stash.end(),
+                               [src](const Stashed& e) { return e.src == src; });
         }
     };
 
@@ -313,7 +340,10 @@ private:
         CreditPool& pool = request_net ? book_->req(dest, self)
                                        : book_->rsp(dest, self);
         pool.settle(ctx_->now());
-        if (!pool.can_take(flits)) { return nullptr; }
+        if (!pool.can_take(flits)) {
+            if (request_net) { credit_blocked_ = &pool; }
+            return nullptr;
+        }
         const std::uint16_t seq = (request_net ? req_seq_ : rsp_seq_)[dest];
         return route(dest, flits, route_class(routing_, self, dest, seq));
     }
@@ -325,18 +355,22 @@ private:
         book_->rsp(dest, self).take(flits);
     }
 
-    /// Delivers consecutive stashed packets starting at `ro.expected`
-    /// until the stash has a gap or `deliver` reports backpressure.
+    /// Delivers consecutive stashed packets of `src` starting at its
+    /// expected sequence number until the stash has a gap or `deliver`
+    /// reports backpressure.
     template <typename Deliver>
-    static void drain_stash(PacketArena& arena, Reorder& ro, Deliver&& deliver) {
+    static void drain_stash(PacketArena& arena, Reorder& ro, NodeId src,
+                            Deliver&& deliver) {
         NocPacket pkt;
-        while (ro.stash_take(arena, ro.expected, pkt)) {
+        std::uint16_t& expected = ro.expected[src];
+        while (ro.stash_take(arena, src, expected, pkt)) {
             if (!deliver(pkt)) {
                 // Put it back: delivery is retried next tick.
-                ro.stash.emplace_back(ro.expected, arena.acquire(pkt));
+                ro.stash.push_back(
+                    Reorder::Stashed{src, expected, arena.acquire(pkt)});
                 return;
             }
-            ++ro.expected;
+            ++expected;
         }
     }
 
@@ -355,12 +389,10 @@ private:
     void update_rsp_stash_index(NodeId src);
 
     [[nodiscard]] static std::uint32_t
-    stashed_flits(const PacketArena& arena, const std::vector<Reorder>& reorder,
-                  NodeId src) {
-        if (src >= reorder.size()) { return 0; }
+    stashed_flits(const PacketArena& arena, const Reorder& reorder, NodeId src) {
         std::uint32_t total = 0;
-        for (const auto& [seq, slot] : reorder[src].stash) {
-            total += arena[slot].flits;
+        for (const Reorder::Stashed& e : reorder.stash) {
+            if (e.src == src) { total += arena[e.slot].flits; }
         }
         return total;
     }
@@ -417,14 +449,16 @@ private:
     std::vector<InFlight> r_in_flight_;
     /// Response injection round-robin over egress sources.
     std::uint32_t rsp_rr_ = 0;
+    /// Request pool the last `inject_requests` call lacked credits from
+    /// (see `credit_wait`).
+    CreditPool* credit_blocked_ = nullptr;
     /// Per-destination injection sequence counters (requests / responses),
     /// indexed by node id.
     std::vector<std::uint16_t> req_seq_;
     std::vector<std::uint16_t> rsp_seq_;
-    /// Per-source ejection reorder state (requests / responses), indexed by
-    /// node id.
-    std::vector<Reorder> req_reorder_;
-    std::vector<Reorder> rsp_reorder_;
+    /// Ejection reorder state (requests / responses).
+    Reorder req_reorder_;
+    Reorder rsp_reorder_;
     /// Slot pool for every stashed packet of this NI (per shard by
     /// construction: one NI is ticked by exactly one shard). Lazy — stays
     /// empty under single-path policies.

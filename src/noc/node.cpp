@@ -100,18 +100,24 @@ void NocNode::tick() {
 
 void NocNode::update_activity() {
     // Conservative idle contract: every tick is a no-op iff nothing this
-    // node consumes holds a flit. Uses `empty()`, not `can_pop()`: a flit
-    // pushed this cycle is not yet poppable but does need us next cycle.
-    // Pending W routing state, same-ID ordering stalls, and credit waits
-    // (owned by `ni_`) only progress while a flit is held somewhere we
-    // drain from, all of which arrive through wired links; a link's
-    // serialization window expiring enables no new work by itself.
+    // node consumes holds a flit, except for local requests held only by
+    // end-to-end credits. Uses `empty()`, not `can_pop()`: a flit pushed
+    // this cycle is not yet poppable but does need us next cycle. Pending
+    // W routing state and same-ID ordering stalls (owned by `ni_`) only
+    // progress while a flit is held somewhere we drain from, all of which
+    // arrive through wired links; a link's serialization window expiring
+    // or its backpressure clearing raises no wake, so those keep us awake.
     if (!req_in_->empty() || !rsp_in_->empty()) { return; }
-    if (local_mgr_ != nullptr && !local_mgr_->requests_empty()) { return; }
     for (const axi::AxiChannel* ch : egress_) {
         if (ch != nullptr && !ch->responses_empty()) { return; }
     }
     if (ni_.has_stashed_responses()) { return; }
+    if (local_mgr_ != nullptr && !local_mgr_->requests_empty()) {
+        // Credit-starved head: the pool wakes us when a return commits.
+        CreditPool* pool = ni_.credit_wait(*local_mgr_);
+        if (pool != nullptr) { idle_until(pool->wait_for_credits(*this)); }
+        return;
+    }
     idle_forever();
 }
 

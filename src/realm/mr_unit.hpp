@@ -108,7 +108,7 @@ public:
     }
     [[nodiscard]] std::uint64_t unmatched_txns() const noexcept { return unmatched_txns_; }
     [[nodiscard]] std::uint64_t isolation_cycles() const noexcept { return isolation_cycles_; }
-    void note_isolated_cycle() noexcept { ++isolation_cycles_; }
+    void note_isolated_cycles(std::uint64_t n) noexcept { isolation_cycles_ += n; }
     ///@}
 
     void reset(sim::Cycle now);

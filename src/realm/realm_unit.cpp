@@ -18,6 +18,7 @@ RealmUnit::RealmUnit(sim::SimContext& ctx, std::string name, axi::AxiChannel& up
     mr_.set_throttle_enabled(config.throttle_enabled);
     upstream.wake_subordinate_on_request(*this);
     downstream.wake_manager_on_response(*this);
+    downstream.wake_manager_on_request_pop(*this);
 }
 
 void RealmUnit::reset() {
@@ -30,6 +31,7 @@ void RealmUnit::reset() {
     read_meta_.clear();
     write_meta_.clear();
     isolation_stalls_ = 0;
+    iso_sleep_from_ = sim::kNoCycle;
     throttle_stalls_ = 0;
     capacity_stalls_ = 0;
     reads_accepted_ = 0;
@@ -162,7 +164,7 @@ void RealmUnit::accept_requests() {
     // Count at most one isolated-stall per cycle even if both AR and AW wait.
     if (!iso_.may_accept() && (up_.has_ar() || up_.has_aw())) {
         ++isolation_stalls_;
-        mr_.note_isolated_cycle();
+        mr_.note_isolated_cycles(1);
     }
     // AR path.
     if (up_.has_ar()) {
@@ -207,6 +209,7 @@ void RealmUnit::accept_requests() {
 }
 
 void RealmUnit::tick() {
+    fold_slept_isolation();
     apply_pending_config();
     if (!cfg_.enabled) {
         bypass_tick();
@@ -223,23 +226,63 @@ void RealmUnit::tick() {
     update_activity();
 }
 
+std::uint64_t RealmUnit::slept_isolation_cycles() const noexcept {
+    if (iso_sleep_from_ == sim::kNoCycle) { return 0; }
+    // Tick-all would have counted one stall per cycle evaluated so far.
+    // Between steps that is every cycle before now(); inside a tick it
+    // includes now(), because the only in-tick reader — the config port
+    // behind the register file — is constructed after the units it
+    // exposes and so evaluates after them.
+    const sim::Cycle end = ctx().ticking() ? now() + 1 : now();
+    return end > iso_sleep_from_ ? end - iso_sleep_from_ : 0;
+}
+
+void RealmUnit::fold_slept_isolation() {
+    if (iso_sleep_from_ == sim::kNoCycle) { return; }
+    const sim::Cycle slept = now() - iso_sleep_from_;
+    isolation_stalls_ += slept;
+    mr_.note_isolated_cycles(slept);
+    iso_sleep_from_ = sim::kNoCycle;
+}
+
 void RealmUnit::update_activity() {
-    // Flits on the upstream request side or downstream response side always
-    // demand evaluation (acceptance, forwarding, isolation-stall counting).
-    if (!up_.channel().requests_empty() || !down_.channel().responses_empty()) { return; }
+    const axi::AxiChannel& up = up_.channel();
+    const axi::AxiChannel& down = down_.channel();
+    // Flits on the downstream response side always demand evaluation
+    // (forwarding, completion accounting). Decide on emptiness, never on
+    // visibility: a flit pushed earlier this cycle already asked to wake us
+    // next cycle, and an idle declaration below would overwrite that wake.
+    if (!down.responses_empty()) { return; }
     if (!cfg_.enabled) {
-        idle_forever(); // bypass over empty channels is a pure no-op
+        // Bypass over empty channels is a pure no-op.
+        if (up.requests_empty()) { idle_forever(); }
         return;
     }
-    // Un-emitted child requests are backpressured downstream; pending
-    // intrusive reconfiguration polls the drain condition each cycle.
+    // Pending intrusive reconfiguration polls the drain condition each
+    // cycle.
     if (pending_fragmentation_ || pending_enabled_) { return; }
-    if (splitter_.has_child_ar() || wbuf_.has_aw_to_send() || wbuf_.has_w_to_send()) {
-        return;
-    }
     // A budget state change from this cycle's charges is applied by
     // update_budget_isolation() on the *next* tick — not yet a no-op.
     if (mr_.budget_exhausted() != iso_.cause_active(IsolationCause::kBudget)) { return; }
+    // Upstream W beats are absorbed whatever the isolation state, as long
+    // as the write buffer has room; a full buffer only drains through the
+    // emission below, so its verdict holds for as long as we sleep.
+    if (!up.w.empty() && wbuf_.can_accept_beat()) { return; }
+    // An admitted manager's AR/AW is accepted or counted as a throttle /
+    // capacity stall every cycle. An isolated one only counts isolation
+    // stalls: one per cycle, which the unit may count on read instead.
+    const bool isolated_wait = !up.aw.empty() || !up.ar.empty();
+    if (isolated_wait && iso_.may_accept()) { return; }
+    // Child requests wait for a free downstream slot; the pop hook on the
+    // downstream request links wakes us when one frees.
+    if ((splitter_.has_child_ar() && down_.can_send_ar()) ||
+        (wbuf_.has_aw_to_send() && down_.can_send_aw()) ||
+        (wbuf_.has_w_to_send() && down_.can_send_w())) {
+        return;
+    }
+    // Isolation ends at a replenishment (the timed wake below) or through a
+    // register write (which wakes us); every cycle until then is a stall.
+    if (isolated_wait) { iso_sleep_from_ = now() + 1; }
     // The only remaining timed event is the M&R credit replenishment. Never
     // sleep past the earliest period boundary, so `period_start` advances
     // exactly as it would under tick-all (one boundary per evaluation).

@@ -104,7 +104,18 @@ public:
 
     /// \name Stall accounting (interference observability)
     ///@{
-    [[nodiscard]] std::uint64_t isolation_stalls() const noexcept { return isolation_stalls_; }
+    /// Cycles an AR/AW waited on isolation, counted on read: an isolated
+    /// unit sleeps instead of counting, and every slept cycle is one stall
+    /// (see `update_activity`).
+    [[nodiscard]] std::uint64_t isolation_stalls() const noexcept {
+        return isolation_stalls_ + slept_isolation_cycles();
+    }
+    /// The M&R unit's isolation-cycle counter (the `kIsoCycles` register),
+    /// counted on read like `isolation_stalls()`. Read this, not
+    /// `mr().isolation_cycles()`, which lags while the unit sleeps.
+    [[nodiscard]] std::uint64_t isolation_cycles() const noexcept {
+        return mr_.isolation_cycles() + slept_isolation_cycles();
+    }
     [[nodiscard]] std::uint64_t throttle_stalls() const noexcept { return throttle_stalls_; }
     [[nodiscard]] std::uint64_t capacity_stalls() const noexcept { return capacity_stalls_; }
     [[nodiscard]] std::uint64_t reads_accepted() const noexcept { return reads_accepted_; }
@@ -124,6 +135,11 @@ private:
     void emit_requests();
     void accept_requests();
     void update_activity();
+    /// Isolation stalls of the current sleep not yet folded into the
+    /// counters; 0 while awake.
+    [[nodiscard]] std::uint64_t slept_isolation_cycles() const noexcept;
+    /// Folds the slept stalls into the counters (first thing in a tick).
+    void fold_slept_isolation();
 
     axi::SubordinateView up_;
     axi::ManagerView down_;
@@ -141,6 +157,9 @@ private:
     std::unordered_map<axi::IdT, std::deque<TxnMeta>> write_meta_;
 
     std::uint64_t isolation_stalls_ = 0;
+    /// First cycle of an isolated sleep (each slept cycle is one isolation
+    /// stall); `kNoCycle` while awake or sleeping for any other reason.
+    sim::Cycle iso_sleep_from_ = sim::kNoCycle;
     std::uint64_t throttle_stalls_ = 0;
     std::uint64_t capacity_stalls_ = 0;
     std::uint64_t reads_accepted_ = 0;

@@ -177,7 +177,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg, std::string label) {
                                     static_cast<double>(res.run_cycles);
         if (const rt::RealmUnit* unit = topo->interference_realm(0)) {
             res.dma_depletions = unit->mr().region(0).depletion_events;
-            res.dma_isolation_cycles = unit->mr().isolation_cycles();
+            res.dma_isolation_cycles = unit->isolation_cycles();
             res.dma_throttle_stalls = unit->throttle_stalls();
             res.dma_cut_through = unit->write_buffer().cut_through_bursts();
             res.dma_mr_bytes_total = unit->mr().region(0).bytes_total;

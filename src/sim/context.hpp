@@ -105,6 +105,11 @@ public:
     [[nodiscard]] Cycle now() const noexcept {
         return this == tl_tick_ctx_ ? tl_tick_now_ : now_;
     }
+    /// True while the calling thread is inside a tick walk of this context
+    /// (a component's `tick()`), false between steps. Lets a sleeping
+    /// component's on-read counters tell "cycle `now()` is being evaluated"
+    /// from "cycles before `now()` are done".
+    [[nodiscard]] bool ticking() const noexcept { return this == tl_tick_ctx_; }
 
     /// Adds a component to the per-cycle evaluation list (tagging it with
     /// the current build shard).

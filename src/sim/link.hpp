@@ -143,16 +143,20 @@ public:
 
     /// Scheduler wake-up wiring (activity-aware kernel): component woken
     /// whenever a flit is pushed — wire the consumer here so it may declare
-    /// itself idle while the link is empty. (Producers never sleep while
-    /// backpressured, so there is no pop-side wake hook.)
+    /// itself idle while the link is empty. The producer side has no field
+    /// of its own: a producer that sleeps on a full link wakes through the
+    /// drain hook below (see `axi::AxiChannel::wake_manager_on_request_pop`).
     void set_wake_on_push(Component* c) noexcept { wake_on_push_ = c; }
 
     /// Drain hook: invoked after every successful pop. The NoC's credited
     /// flow control uses this to return end-to-end credits when a staged
-    /// flit leaves the network-interface buffer toward its subordinate.
+    /// flit leaves the network-interface buffer toward its subordinate; a
+    /// backpressured producer uses it to wake when space frees. One hook
+    /// per link — the two uses never share a link.
     /// Note `clear()` bypasses the hook — credit state must be reset
     /// alongside the link by whoever owns both.
     void set_on_pop(PopHook hook) noexcept { on_pop_ = hook; }
+    [[nodiscard]] bool has_on_pop() const noexcept { return static_cast<bool>(on_pop_); }
 
     /// \name Introspection
     ///@{

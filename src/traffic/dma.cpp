@@ -18,6 +18,10 @@ DmaEngine::DmaEngine(sim::SimContext& ctx, std::string name, axi::AxiChannel& po
     for (Slot& s : slots_) {
         s.data.resize(std::size_t{cfg_.burst_beats} * cfg_.bus_bytes);
     }
+    // Activity-aware kernel wiring: responses and freed request slots are
+    // the events that end every wait (see update_activity).
+    port.wake_manager_on_response(*this);
+    port.wake_manager_on_request_pop(*this);
 }
 
 void DmaEngine::reset() {
@@ -64,15 +68,34 @@ bool DmaEngine::idle() const noexcept {
                        [](const Slot& s) { return s.state == SlotState::kFree; });
 }
 
+bool DmaEngine::has_slot(SlotState state) const noexcept {
+    return std::any_of(slots_.begin(), slots_.end(),
+                       [state](const Slot& s) { return s.state == state; });
+}
+
+bool DmaEngine::may_issue_read() const noexcept {
+    return !jobs_.empty() && reads_in_flight() < cfg_.max_outstanding_reads &&
+           port_.can_send_ar() && has_slot(SlotState::kFree);
+}
+
+bool DmaEngine::may_issue_write() const noexcept {
+    // With reserve_before_data the AW already went with the AR.
+    return !cfg_.reserve_before_data && writes_in_flight() < cfg_.max_outstanding_writes &&
+           port_.can_send_aw() && has_slot(SlotState::kFull);
+}
+
+const DmaEngine::Slot* DmaEngine::w_slot() const noexcept {
+    if (write_order_.empty()) { return nullptr; }
+    const Slot& slot = slots_[write_order_.front()];
+    const bool cut_through = slot.aw_sent && slot.state == SlotState::kReading;
+    if (slot.state != SlotState::kWriting && !cut_through) { return nullptr; }
+    return slot.beats_written < slot.beats_read ? &slot : nullptr; // cut-through: data lag
+}
+
 void DmaEngine::issue_reads() {
-    if (jobs_.empty() || reads_in_flight() >= cfg_.max_outstanding_reads ||
-        !port_.can_send_ar()) {
-        return;
-    }
-    // Find a free slot.
+    if (!may_issue_read()) { return; }
     auto it = std::find_if(slots_.begin(), slots_.end(),
                            [](const Slot& s) { return s.state == SlotState::kFree; });
-    if (it == slots_.end()) { return; }
     const auto slot_idx = static_cast<std::uint32_t>(it - slots_.begin());
     DmaJob& job = jobs_.front();
 
@@ -134,11 +157,9 @@ void DmaEngine::collect_reads() {
 }
 
 void DmaEngine::issue_writes() {
-    if (cfg_.reserve_before_data) { return; } // AW already went with the AR
-    if (writes_in_flight() >= cfg_.max_outstanding_writes || !port_.can_send_aw()) { return; }
+    if (!may_issue_write()) { return; }
     auto it = std::find_if(slots_.begin(), slots_.end(),
                            [](const Slot& s) { return s.state == SlotState::kFull; });
-    if (it == slots_.end()) { return; }
     const auto slot_idx = static_cast<std::uint32_t>(it - slots_.begin());
     Slot& slot = *it;
     axi::AwFlit aw = axi::make_aw(slot_idx, slot.dst, slot.beats,
@@ -153,12 +174,10 @@ void DmaEngine::issue_writes() {
 }
 
 void DmaEngine::stream_w_beats() {
-    if (write_order_.empty() || !port_.can_send_w()) { return; }
+    const Slot* due = w_slot();
+    if (due == nullptr || !port_.can_send_w()) { return; }
+    if (now() < due->next_w_at) { return; } // stalling behaviour
     Slot& slot = slots_[write_order_.front()];
-    const bool cut_through = slot.aw_sent && slot.state == SlotState::kReading;
-    if (slot.state != SlotState::kWriting && !cut_through) { return; }
-    if (slot.beats_written >= slot.beats_read) { return; } // cut-through: data lag
-    if (now() < slot.next_w_at) { return; }                // stalling behaviour
 
     axi::WFlit w;
     std::memcpy(w.data.bytes.data(),
@@ -199,9 +218,25 @@ void DmaEngine::tick() {
     stream_w_beats();
     issue_writes();
     issue_reads();
-    // No queued jobs and no chunk in flight: no response can arrive and
-    // nothing can be issued until push_job() wakes us.
-    if (idle()) { idle_forever(); }
+    update_activity();
+}
+
+void DmaEngine::update_activity() {
+    // A buffered response needs the next tick even when it is not poppable
+    // yet: it was pushed earlier this cycle, and the wake that push raised
+    // is overwritten by any idle declaration below (emptiness, not
+    // visibility).
+    if (!port_.channel().responses_empty()) { return; }
+    // Every remaining step is blocked on something that wakes us: a
+    // response (push hook), a freed request slot (pop hook), push_job(), or
+    // the W-stall timer. A step that could act next cycle keeps us awake.
+    if (may_issue_write() || may_issue_read()) { return; }
+    sim::Cycle wake_at = sim::kNoCycle;
+    if (const Slot* due = w_slot(); due != nullptr && port_.can_send_w()) {
+        if (due->next_w_at <= now() + 1) { return; }
+        wake_at = due->next_w_at;
+    }
+    idle_until(wake_at);
 }
 
 } // namespace realm::traffic

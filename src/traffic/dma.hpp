@@ -100,9 +100,20 @@ private:
     void issue_writes();
     void stream_w_beats();
     void collect_b();
+    /// Activity contract: sleeps while every step is blocked on an event
+    /// that wakes the engine (a response, a freed request slot, a new job)
+    /// or on the W-stall timer.
+    void update_activity();
 
     [[nodiscard]] std::uint32_t reads_in_flight() const noexcept;
     [[nodiscard]] std::uint32_t writes_in_flight() const noexcept;
+    [[nodiscard]] bool has_slot(SlotState state) const noexcept;
+    /// True when `issue_reads` / `issue_writes` would issue this cycle.
+    [[nodiscard]] bool may_issue_read() const noexcept;
+    [[nodiscard]] bool may_issue_write() const noexcept;
+    /// The slot whose next W beat may stream (the oldest AW's, holding data
+    /// not yet sent), the W-stall timer aside; nullptr when none.
+    [[nodiscard]] const Slot* w_slot() const noexcept;
 
     axi::ManagerView port_;
     DmaConfig cfg_;

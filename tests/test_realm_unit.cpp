@@ -136,7 +136,7 @@ TEST_F(RealmFixture, BudgetDepletionIsolatesUntilPeriod) {
     (void)collect_read_burst(ctx, up, 1);
     EXPECT_GT(ctx.now() - t0, 100U) << "read must wait for budget replenishment";
     EXPECT_GT(unit->isolation_stalls(), 0U);
-    EXPECT_GT(unit->mr().isolation_cycles(), 0U);
+    EXPECT_GT(unit->isolation_cycles(), 0U);
 }
 
 TEST_F(RealmFixture, ThroughputLimitedToBudgetPerPeriod) {

@@ -1,12 +1,16 @@
 /// Unit tests for the activity-aware scheduler: idle/wake edge cases,
-/// fast-forward semantics, and bit-identical equivalence with the naive
-/// tick-all loop on the Figure 6 SoC topology.
+/// fast-forward semantics, the wait rules (link space, credits, budget
+/// isolation), and bit-identical equivalence with the naive tick-all loop
+/// on the Figure 6 SoC topology, the mesh and the ring.
+#include "axi/builder.hpp"
 #include "axi/checker.hpp"
 #include "axi/probe.hpp"
 #include "axi/trace.hpp"
+#include "cfg/realm_regfile.hpp"
 #include "mem/axi_mem_slave.hpp"
 #include "noc/routing.hpp"
 #include "realm/burst_equalizer.hpp"
+#include "realm/realm_unit.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/component.hpp"
@@ -16,7 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 
 namespace realm {
 namespace {
@@ -116,6 +122,233 @@ TEST(Scheduler, WakeFromEarlierProducerInSameCycle) {
     ctx.run(20);
     ASSERT_EQ(consumer.values.size(), 1U);
     EXPECT_EQ(consumer.values[0], 7);
+}
+
+// --- Wait rules: link space, response arrival, budget isolation -------------
+
+/// Pushes an AR whenever its request link has room and sleeps while the
+/// link is full; the subordinate's pops wake it (link-space wait).
+class FloodingManager : public Component {
+public:
+    FloodingManager(SimContext& ctx, axi::AxiChannel& port)
+        : Component{ctx, "mgr"}, port_{&port} {
+        port.wake_manager_on_request_pop(*this);
+    }
+    void tick() override {
+        ++ticks;
+        if (port_->ar.can_push()) {
+            port_->ar.push(axi::make_ar(0, 0x0, 1, 3));
+            pushed_at.push_back(now());
+        }
+        if (!port_->ar.can_push()) { idle_forever(); }
+    }
+    axi::AxiChannel* port_;
+    std::vector<Cycle> pushed_at;
+    int ticks = 0;
+};
+
+/// Pops one AR every `period` cycles (never sleeps).
+class SlowSubordinate : public Component {
+public:
+    SlowSubordinate(SimContext& ctx, axi::AxiChannel& port, Cycle period)
+        : Component{ctx, "sub"}, port_{&port}, period_{period} {}
+    void tick() override {
+        if (now() % period_ == 0 && port_->ar.can_pop()) { (void)port_->ar.pop(); }
+    }
+    axi::AxiChannel* port_;
+    Cycle period_;
+};
+
+TEST(WaitRules, PopWakeGivesTickAllTimingInEitherRegistrationOrder) {
+    for (const bool manager_first : {true, false}) {
+        const auto run_one = [&](Scheduler scheduler) {
+            SimContext ctx;
+            ctx.set_scheduler(scheduler);
+            axi::AxiChannel port{ctx, "port"};
+            std::unique_ptr<FloodingManager> mgr;
+            std::unique_ptr<SlowSubordinate> sub;
+            if (manager_first) {
+                mgr = std::make_unique<FloodingManager>(ctx, port);
+                sub = std::make_unique<SlowSubordinate>(ctx, port, 5);
+            } else {
+                sub = std::make_unique<SlowSubordinate>(ctx, port, 5);
+                mgr = std::make_unique<FloodingManager>(ctx, port);
+            }
+            ctx.run(100);
+            return std::make_pair(mgr->pushed_at, mgr->ticks);
+        };
+        SCOPED_TRACE(manager_first ? "manager registered first" : "manager registered last");
+        const auto [naive_pushes, naive_ticks] = run_one(Scheduler::kTickAll);
+        const auto [fast_pushes, fast_ticks] = run_one(Scheduler::kActivity);
+        ASSERT_GT(naive_pushes.size(), 10U);
+        EXPECT_EQ(fast_pushes, naive_pushes);
+        EXPECT_LT(fast_ticks, naive_ticks / 2) << "the manager must sleep on the full link";
+        // A manager evaluated after the pop refills the slot in the pop
+        // cycle itself; one evaluated before it refills a cycle later.
+        EXPECT_EQ(naive_pushes.back() % 5, manager_first ? 1U : 0U);
+    }
+}
+
+/// Subordinate registered *before* the manager it serves: it accepts an AR
+/// and pushes the first R beat in the same cycle, later beats `gap` cycles
+/// apart, and acknowledges each write burst as its last W beat arrives.
+/// Its pushes therefore land earlier in the cycle than the manager's tick —
+/// the case where an idle decision taken on visibility would lose them.
+class EagerSubordinate : public Component {
+public:
+    EagerSubordinate(SimContext& ctx, axi::AxiChannel& ch, Cycle gap)
+        : Component{ctx, "sub"}, ch_{&ch}, gap_{gap} {}
+    void tick() override {
+        if (beats_left_ == 0 && ch_->ar.can_pop()) {
+            ar_ = ch_->ar.pop();
+            beats_left_ = ar_.beats();
+            next_r_ = now();
+        }
+        if (beats_left_ > 0 && now() >= next_r_ && ch_->r.can_push()) {
+            axi::RFlit r;
+            r.id = ar_.id;
+            r.last = --beats_left_ == 0;
+            ch_->r.push(r);
+            next_r_ = now() + gap_;
+        }
+        if (!aw_open_ && ch_->aw.can_pop()) {
+            aw_ = ch_->aw.pop();
+            aw_open_ = true;
+        }
+        if (aw_open_ && ch_->w.can_pop() && ch_->b.can_push()) {
+            if (ch_->w.pop().last) {
+                axi::BFlit b;
+                b.id = aw_.id;
+                ch_->b.push(b);
+                aw_open_ = false;
+            }
+        }
+    }
+
+private:
+    axi::AxiChannel* ch_;
+    Cycle gap_;
+    axi::ArFlit ar_{};
+    std::uint32_t beats_left_ = 0;
+    Cycle next_r_ = 0;
+    axi::AwFlit aw_{};
+    bool aw_open_ = false;
+};
+
+TEST(WaitRules, ResponsePushedInTheCycleTheDmaWouldIdleIsNotLost) {
+    struct Run {
+        std::uint64_t bytes_read = 0;
+        std::uint64_t bytes_written = 0;
+        std::uint64_t chunks = 0;
+        double read_lat_mean = 0;
+        std::uint64_t read_lat_max = 0;
+        double write_lat_mean = 0;
+        std::uint64_t ticks = 0;
+    };
+    for (const Cycle gap : {Cycle{1}, Cycle{4}}) {
+        for (const std::uint32_t w_stall : {0U, 6U}) {
+            const auto run_one = [&](Scheduler scheduler) {
+                SimContext ctx;
+                ctx.set_scheduler(scheduler);
+                axi::AxiChannel port{ctx, "port"};
+                EagerSubordinate sub{ctx, port, gap};
+                traffic::DmaConfig dcfg;
+                dcfg.burst_beats = 8;
+                dcfg.w_stall_cycles = w_stall;
+                traffic::DmaEngine dma{ctx, "dma", port, dcfg};
+                dma.push_job(traffic::DmaJob{0x0, 0x8000, 0x400, false});
+                ctx.run(5'000);
+                return Run{dma.bytes_read(),          dma.bytes_written(),
+                           dma.chunks_completed(),    dma.read_latency().mean(),
+                           dma.read_latency().max(),  dma.write_latency().mean(),
+                           ctx.ticks_executed()};
+            };
+            SCOPED_TRACE(testing::Message() << "gap=" << gap << " w_stall=" << w_stall);
+            const Run naive = run_one(Scheduler::kTickAll);
+            const Run fast = run_one(Scheduler::kActivity);
+            EXPECT_EQ(naive.bytes_written, 0x400U) << "the copy must complete";
+            EXPECT_EQ(fast.bytes_read, naive.bytes_read);
+            EXPECT_EQ(fast.bytes_written, naive.bytes_written);
+            EXPECT_EQ(fast.chunks, naive.chunks);
+            EXPECT_EQ(fast.read_lat_mean, naive.read_lat_mean);
+            EXPECT_EQ(fast.read_lat_max, naive.read_lat_max);
+            EXPECT_EQ(fast.write_lat_mean, naive.write_lat_mean);
+            EXPECT_LT(fast.ticks, naive.ticks);
+        }
+    }
+}
+
+/// Reads the REALM unit's `kIsoCycles` register from inside its own tick,
+/// like the config port does (registered after the unit).
+class IsoRegisterReader : public Component {
+public:
+    IsoRegisterReader(SimContext& ctx, cfg::RealmRegFile& rf)
+        : Component{ctx, "reader"}, rf_{&rf} {}
+    void tick() override {
+        reads.push_back(rf_->reg_access(cfg::RegReq{
+            cfg::RealmRegFile::unit_reg(0, cfg::RealmRegFile::kIsoCycles), false, 0, 0})
+                            .rdata);
+    }
+    cfg::RealmRegFile* rf_;
+    std::vector<std::uint32_t> reads;
+};
+
+TEST(WaitRules, IsolationCountersReadWhileAsleepEqualTickAll) {
+    struct Run {
+        std::vector<std::uint64_t> stalls;    ///< isolation_stalls() between steps
+        std::vector<std::uint64_t> iso;       ///< isolation_cycles() between steps
+        std::vector<std::uint32_t> reg;       ///< kIsoCycles between steps
+        std::vector<std::uint32_t> in_tick;   ///< kIsoCycles read inside a tick
+        std::uint64_t ticks = 0;
+        int asleep_steps = 0; ///< steps after which the unit was asleep
+    };
+    // `with_reader` adds an always-awake in-tick reader; without it the unit
+    // is the only component whose sleep decides the walk.
+    for (const bool with_reader : {false, true}) {
+        const auto run_one = [&](Scheduler scheduler) {
+            SimContext ctx;
+            ctx.set_scheduler(scheduler);
+            axi::AxiChannel up{ctx, "up"};
+            axi::AxiChannel down{ctx, "down"};
+            mem::AxiMemSlave slave{ctx, "mem", down, std::make_unique<mem::SramBackend>(1, 1),
+                                   mem::AxiMemSlaveConfig{8, 8, 0}};
+            traffic::DmaConfig dcfg;
+            dcfg.burst_beats = 16;
+            traffic::DmaEngine dma{ctx, "dma", up, dcfg};
+            rt::RealmUnit unit{ctx, "u0", up, down, {}};
+            unit.set_region(0, rt::RegionConfig{0x0, 0x10'0000, /*budget=*/256,
+                                                /*period=*/500});
+            cfg::RealmRegFile rf{{&unit}};
+            std::unique_ptr<IsoRegisterReader> reader;
+            if (with_reader) { reader = std::make_unique<IsoRegisterReader>(ctx, rf); }
+            dma.push_job(traffic::DmaJob{0x0, 0x8000, 0x800, /*loop=*/true});
+            Run run;
+            for (int i = 0; i < 4'000; ++i) {
+                ctx.step();
+                run.stalls.push_back(unit.isolation_stalls());
+                run.iso.push_back(unit.isolation_cycles());
+                run.reg.push_back(
+                    rf.reg_access(cfg::RegReq{cfg::RealmRegFile::unit_reg(
+                                                  0, cfg::RealmRegFile::kIsoCycles),
+                                              false, 0, 0})
+                        .rdata);
+                run.asleep_steps += unit.wake_cycle() > ctx.now() ? 1 : 0;
+            }
+            if (reader) { run.in_tick = reader->reads; }
+            run.ticks = ctx.ticks_executed();
+            return run;
+        };
+        SCOPED_TRACE(with_reader ? "with in-tick reader" : "between-step reads only");
+        const Run naive = run_one(Scheduler::kTickAll);
+        const Run fast = run_one(Scheduler::kActivity);
+        ASSERT_GT(naive.stalls.back(), 1'000U) << "the unit must spend long stretches isolated";
+        EXPECT_EQ(fast.stalls, naive.stalls);
+        EXPECT_EQ(fast.iso, naive.iso);
+        EXPECT_EQ(fast.reg, naive.reg);
+        EXPECT_EQ(fast.in_tick, naive.in_tick);
+        EXPECT_GT(fast.asleep_steps, 1'000) << "the isolated unit must sleep";
+        EXPECT_LT(fast.ticks, naive.ticks);
+    }
 }
 
 // --- Fast-forward ------------------------------------------------------------
@@ -359,6 +592,7 @@ TEST(SchedulerEquivalence, DosAttackTopologyBitIdentical) {
 
 // --- Sharded-kernel equivalence ----------------------------------------------
 
+
 /// A contended mesh point (3x4 hog from mesh-contention), shrunk to keep the
 /// matrix of (policy x shard count) runs fast, with real worker threads
 /// forced so the concurrent barrier path runs even on single-core hosts.
@@ -397,6 +631,73 @@ void expect_same_results(const scenario::ScenarioResult& a,
     EXPECT_EQ(a.xbar_w_stalls, b.xbar_w_stalls);
     EXPECT_EQ(a.fabric_hops, b.fabric_hops);
     EXPECT_EQ(a.simulated_cycles, b.simulated_cycles);
+}
+
+/// The budget cell of a 9-attacker DoS matrix with end-to-end pools cut to
+/// just over one worm, so injecting NIs starve on credits while the REALM
+/// units behind them back up on full manager links and sit out budget
+/// isolation — the regime all three waits target. `sweep` picks the fabric.
+scenario::ScenarioConfig credit_starved_budget_point(const char* sweep_name,
+                                                     Scheduler scheduler) {
+    const scenario::Sweep sweep = scenario::make_sweep(sweep_name);
+    const auto it = std::find_if(sweep.points.begin(), sweep.points.end(),
+                                 [](const scenario::SweepPoint& p) {
+                                     return p.label == "9atk/hog/budget";
+                                 });
+    EXPECT_NE(it, sweep.points.end());
+    scenario::ScenarioConfig cfg = it->config;
+    cfg.victim.stream.bytes = 0x400;
+    cfg.topology.mesh.e2e_credits = cfg.topology.mesh.flits_per_packet + 2;
+    cfg.topology.ring.e2e_credits = cfg.topology.ring.flits_per_packet + 2;
+    cfg.scheduler = scheduler;
+    return cfg;
+}
+
+TEST(SchedulerEquivalence, CreditStarvedBudgetRingBitIdentical) {
+    // Return delay 0 releases credits inline (`release`); a delay rides the
+    // returns on the response network (`release_at`). Both wake the waiter.
+    for (const std::uint32_t return_delay : {0U, 3U}) {
+        const auto run_one = [&](Scheduler scheduler) {
+            scenario::ScenarioConfig cfg =
+                credit_starved_budget_point("ring-dos-matrix", scheduler);
+            cfg.topology.ring.credit_return_delay = return_delay;
+            return scenario::run_scenario(cfg);
+        };
+        SCOPED_TRACE(testing::Message() << "credit_return_delay=" << return_delay);
+        const scenario::ScenarioResult naive = run_one(Scheduler::kTickAll);
+        const scenario::ScenarioResult fast = run_one(Scheduler::kActivity);
+        ASSERT_FALSE(naive.timed_out);
+        ASSERT_GT(naive.dma_isolation_cycles, 0U);
+        expect_same_results(naive, fast);
+        EXPECT_EQ(naive.dma_throttle_stalls, fast.dma_throttle_stalls);
+        EXPECT_LT(static_cast<double>(fast.ticks_executed) /
+                      static_cast<double>(fast.simulated_cycles),
+                  9.0)
+            << "sleeping DMAs, REALM units and credit-starved nodes must leave "
+               "fewer executed ticks per cycle than there are attackers";
+    }
+}
+
+TEST(ShardedKernel, CreditStarvedBudgetMeshMatchesTickAll) {
+    const scenario::ScenarioResult naive = scenario::run_scenario(
+        credit_starved_budget_point("mesh-dos-matrix", Scheduler::kTickAll));
+    ASSERT_FALSE(naive.timed_out);
+    ASSERT_GT(naive.dma_isolation_cycles, 0U);
+    for (const unsigned shards : {1U, 4U}) {
+        scenario::ScenarioConfig cfg =
+            credit_starved_budget_point("mesh-dos-matrix", Scheduler::kActivity);
+        cfg.shards = shards;
+        cfg.shard_workers = shards > 1 ? 2 : 0;
+        const scenario::ScenarioResult fast = scenario::run_scenario(cfg);
+        SCOPED_TRACE(testing::Message() << "shards=" << shards);
+        expect_same_results(naive, fast);
+        EXPECT_EQ(naive.dma_throttle_stalls, fast.dma_throttle_stalls);
+        EXPECT_LT(static_cast<double>(fast.ticks_executed) /
+                      static_cast<double>(fast.simulated_cycles),
+                  9.0)
+            << "sleeping DMAs, REALM units and credit-starved routers must "
+               "leave fewer executed ticks per cycle than there are attackers";
+    }
 }
 
 TEST(ShardedKernel, MeshBitIdenticalAcrossShardCountsAndPolicies) {
@@ -579,6 +880,39 @@ TEST(ShardedKernel, PerShardCountersPartitionTheTotals) {
     // The 3x4 mesh stripes over min(4, cols) = 4 shards; every stripe hosts
     // ticking components (routers at minimum), so no shard sits empty.
     EXPECT_EQ(busy_shards, 4U);
+}
+
+// --- Profiler ----------------------------------------------------------------
+
+TEST(Profiler, ProfiledMeshRunIsBitIdenticalAndBucketsSumToTicks) {
+    // Attribution is host-side only: the profiled walk must tick exactly
+    // what the plain one does, and every executed tick lands in one bucket.
+    for (const unsigned shards : {1U, 4U}) {
+        scenario::ScenarioConfig cfg =
+            credit_starved_budget_point("mesh-dos-matrix", Scheduler::kActivity);
+        cfg.shards = shards;
+        cfg.shard_workers = shards > 1 ? 2 : 0;
+        const scenario::ScenarioResult plain = scenario::run_scenario(cfg);
+        cfg.profile = true;
+        const scenario::ScenarioResult profiled = scenario::run_scenario(cfg);
+        SCOPED_TRACE(testing::Message() << "shards=" << shards);
+        ASSERT_FALSE(plain.timed_out);
+        expect_same_results(plain, profiled);
+        EXPECT_EQ(profiled.ticks_executed, plain.ticks_executed);
+        EXPECT_EQ(profiled.ticks_skipped, plain.ticks_skipped);
+        EXPECT_TRUE(plain.profile.empty());
+        ASSERT_FALSE(profiled.profile.empty());
+        const std::uint64_t bucket_ticks = std::accumulate(
+            profiled.profile.begin(), profiled.profile.end(), std::uint64_t{0},
+            [](std::uint64_t sum, const scenario::ProfileRow& row) {
+                return sum + row.ticks;
+            });
+        EXPECT_EQ(bucket_ticks, profiled.ticks_executed);
+        for (const scenario::ProfileRow& row : profiled.profile) {
+            EXPECT_LT(row.shard, shards) << row.type;
+            EXPECT_GT(row.components, 0U) << row.type;
+        }
+    }
 }
 
 } // namespace
