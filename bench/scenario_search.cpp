@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -84,9 +85,7 @@ SearchArgs split_args(int argc, char** argv) {
     return out;
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     using namespace realm::scenario;
     SearchArgs sargs = split_args(argc, argv);
     const BenchOptions opts =
@@ -229,4 +228,17 @@ int main(int argc, char** argv) {
     Sweep gate_sweep;
     gate_sweep.name = "search:" + summary.base_label;
     return check_diff(opts, gate_sweep, {gated});
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    // A malformed checkpoint, grid or baseline dump is reported, not
+    // silently re-run.
+    try {
+        return run(argc, argv);
+    } catch (const std::runtime_error& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
 }

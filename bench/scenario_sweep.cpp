@@ -12,15 +12,49 @@
 /// matrices, and `--diff BASELINE.json` compares each cell's worst-case
 /// victim latency against a previous run's dump, exiting non-zero past
 /// `--diff-threshold`/`--diff-slack` — the CI latency-regression gate.
+///
+/// `scenario_sweep --compare A.json B.json` runs nothing: it matches the two
+/// dumps' points by label and exits 1, naming each label, field and both
+/// values, when any semantic field differs (host-side tick counts, wall
+/// time and profiles are ignored) — the bit-identity check across shard
+/// counts, schedulers and the profiler.
+///
+/// A malformed dump (`--resume`, `--diff`, `--partition-profile`,
+/// `--compare`) is reported and exits 2.
 #include "scenario/cli.hpp"
 
 #include <cstdio>
+#include <cstring>
+#include <stdexcept>
 
-int main(int argc, char** argv) {
+namespace {
+
+int compare(const char* a_path, const char* b_path) {
+    const std::vector<std::string> divergences =
+        realm::scenario::compare_dumps(a_path, b_path);
+    for (const std::string& d : divergences) {
+        std::fprintf(stderr, "compare: %s\n", d.c_str());
+    }
+    std::fprintf(stderr, "compare %s vs %s: %zu divergence%s\n", a_path, b_path,
+                 divergences.size(), divergences.size() == 1 ? "" : "s");
+    return divergences.empty() ? 0 : 1;
+}
+
+int run(int argc, char** argv) {
     using namespace realm::scenario;
+    if (argc > 1 && std::strcmp(argv[1], "--compare") == 0) {
+        if (argc != 4) {
+            std::fprintf(stderr, "usage: %s --compare A.json B.json\n", argv[0]);
+            return 2;
+        }
+        return compare(argv[2], argv[3]);
+    }
     BenchOptions opts = parse_bench_args(argc, argv, /*accept_positional=*/true);
     if (opts.positional.empty()) {
-        std::fprintf(stderr, "usage: %s [options] SWEEP...  (try --list)\n", argv[0]);
+        std::fprintf(stderr,
+                     "usage: %s [options] SWEEP...  (try --list)\n"
+                     "       %s --compare A.json B.json\n",
+                     argv[0], argv[0]);
         return 2;
     }
     if (!opts.json_path.empty() && opts.positional.size() > 1) {
@@ -68,4 +102,15 @@ int main(int argc, char** argv) {
         std::printf("\n");
     }
     return exit_code;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    try {
+        return run(argc, argv);
+    } catch (const std::runtime_error& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
 }

@@ -71,8 +71,8 @@ struct BenchOptions {
     /// `--profile`: arm the cycle-attribution profiler on every point; the
     /// per-(type, shard) wall-time table lands in the JSON dump and the
     /// markdown report. Host-side observability only (excluded from
-    /// `config_hash`), so it composes with `--resume` — though reused
-    /// points carry no profile, having never re-run.
+    /// `config_hash`), so it composes with `--resume` — reused points
+    /// carry the profile dumped when they ran, if any.
     bool profile = false;
     /// `--monitors`: enable the transaction-monitoring plane on every point.
     bool monitors = false;

@@ -444,9 +444,13 @@ ScenarioConfig dos_point(const DosKnobs& k) {
     }
 
     // Config path: plan 0 = victim unit (always free), plan 1+i = attacker i.
+    // The crossbar keeps one DSA port (and REALM unit) even without
+    // attackers; that idle unit gets a free plan too.
     const auto plan_attackers = [&](const RegionPlan& plan) {
-        cfg.boot_plans.push_back(RegionPlan{1ULL << 30, 1ULL << 20, 256}); // victim
+        const RegionPlan free_plan{1ULL << 30, 1ULL << 20, 256};
+        cfg.boot_plans.push_back(free_plan); // victim
         for (noc::NodeId i = 0; i < k.attackers; ++i) { cfg.boot_plans.push_back(plan); }
+        if (xbar && k.attackers == 0) { cfg.boot_plans.push_back(free_plan); }
     };
     switch (k.defense) {
     case DosDefense::kNone: break; // unregulated (and no write buffer)

@@ -4,12 +4,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
+#include <sstream>
+#include <stdexcept>
+#include <string_view>
 #include <thread>
+#include <type_traits>
+#include <unordered_set>
 
 namespace realm::scenario {
 
@@ -116,7 +122,23 @@ ScenarioRunner::run_resumed(const Sweep& sweep, const std::string& resume_path,
 
 namespace {
 
-void json_escape(std::ostream& os, const std::string& s) {
+/// \name Value writers, one per field type of the field tables
+///@{
+void write_value(std::ostream& os, std::uint64_t v) { os << v; }
+void write_value(std::ostream& os, unsigned v) { os << v; }
+void write_value(std::ostream& os, bool v) { os << (v ? "true" : "false"); }
+
+void write_value(std::ostream& os, double v) {
+    if (!std::isfinite(v)) {
+        os << "null";
+        return;
+    }
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.6g", v);
+    os << buf;
+}
+
+void write_value(std::ostream& os, const std::string& s) {
     os << '"';
     for (const char c : s) {
         switch (c) {
@@ -137,14 +159,38 @@ void json_escape(std::ostream& os, const std::string& s) {
     os << '"';
 }
 
-void json_number(std::ostream& os, double v) {
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
+void write_value(std::ostream& os, const ProfileRow& row);
+
+template <typename T>
+void write_value(std::ostream& os, const std::vector<T>& v) {
+    os << '[';
+    for (std::size_t k = 0; k < v.size(); ++k) {
+        os << (k > 0 ? ", " : "");
+        write_value(os, v[k]);
     }
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    os << buf;
+    os << ']';
+}
+
+void write_value(std::ostream& os, const ProfileRow& row) {
+    const char* sep = "{";
+    ProfileRow::for_each_field([&](const char* key, auto member, FieldTag) {
+        os << sep << '"' << key << "\": ";
+        write_value(os, row.*member);
+        sep = ", ";
+    });
+    os << '}';
+}
+///@}
+
+/// True when `member` is the pointer-to-member `target` (members of other
+/// types never are).
+template <typename M, typename T>
+constexpr bool is_member(M member, T target) {
+    if constexpr (std::is_same_v<M, T>) {
+        return member == target;
+    } else {
+        return false;
+    }
 }
 
 } // namespace
@@ -152,9 +198,9 @@ void json_number(std::ostream& os, double v) {
 void write_json(std::ostream& os, const Sweep& sweep,
                 const std::vector<ScenarioResult>& results) {
     os << "{\n  \"sweep\": ";
-    json_escape(os, sweep.name);
+    write_value(os, sweep.name);
     os << ",\n  \"title\": ";
-    json_escape(os, sweep.title);
+    write_value(os, sweep.title);
     os << ",\n  \"baseline_index\": ";
     if (sweep.baseline_index) {
         os << *sweep.baseline_index;
@@ -164,112 +210,33 @@ void write_json(std::ostream& os, const Sweep& sweep,
     os << ",\n  \"points\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const ScenarioResult& r = results[i];
-        os << "    {\"label\": ";
-        json_escape(os, r.label);
-        if (i < sweep.points.size()) {
-            char hash_buf[24];
-            std::snprintf(hash_buf, sizeof hash_buf, "0x%016llx",
-                          static_cast<unsigned long long>(
-                              config_hash(sweep.points[i].config)));
-            os << ", \"config_hash\": \"" << hash_buf << '"';
-        }
-        os << ", \"seed\": " << r.seed;
-        os << ", \"boot_ok\": " << (r.boot_ok ? "true" : "false");
-        os << ", \"timed_out\": " << (r.timed_out ? "true" : "false");
-        os << ", \"run_cycles\": " << r.run_cycles;
-        os << ", \"ops\": " << r.ops;
-        os << ", \"load_lat_mean\": ";
-        json_number(os, r.load_lat_mean);
-        os << ", \"load_lat_min\": " << r.load_lat_min;
-        os << ", \"load_lat_max\": " << r.load_lat_max;
-        os << ", \"load_lat_p99\": " << r.load_lat_p99;
-        os << ", \"store_lat_mean\": ";
-        json_number(os, r.store_lat_mean);
-        os << ", \"store_lat_max\": " << r.store_lat_max;
-        os << ", \"dma_bytes\": " << r.dma_bytes;
-        os << ", \"dma_read_bw\": ";
-        json_number(os, r.dma_read_bw);
-        os << ", \"dma_depletions\": " << r.dma_depletions;
-        os << ", \"dma_isolation_cycles\": " << r.dma_isolation_cycles;
-        os << ", \"dma_throttle_stalls\": " << r.dma_throttle_stalls;
-        os << ", \"dma_cut_through\": " << r.dma_cut_through;
-        os << ", \"xbar_w_stalls\": " << r.xbar_w_stalls;
-        os << ", \"fabric_hops\": " << r.fabric_hops;
-        if (r.mon_enabled) {
-            // Monitoring-plane telemetry: all integers, so a parsed-back
-            // point is bit-identical to the run that produced it. The mgr_*
-            // arrays are columnar per-manager data (0 = victim core,
-            // 1+i = interference DMA i).
-            const auto emit_array = [&os](const char* key,
-                                          const std::vector<std::uint64_t>& v) {
-                os << ", \"" << key << "\": [";
-                for (std::size_t k = 0; k < v.size(); ++k) {
-                    os << (k > 0 ? ", " : "") << v[k];
-                }
-                os << ']';
-            };
-            os << ", \"mon_enabled\": true";
-            os << ", \"mon_lat_p50\": " << r.mon_lat_p50;
-            os << ", \"mon_lat_p99\": " << r.mon_lat_p99;
-            os << ", \"mon_lat_p999\": " << r.mon_lat_p999;
-            os << ", \"mon_timeouts\": " << r.mon_timeouts;
-            os << ", \"mon_orphan_rsp\": " << r.mon_orphan_rsp;
-            os << ", \"mon_orphan_req\": " << r.mon_orphan_req;
-            os << ", \"mon_stall_events\": " << r.mon_stall_events;
-            os << ", \"mon_wgap_events\": " << r.mon_wgap_events;
-            os << ", \"mon_true_positives\": " << r.mon_true_positives;
-            os << ", \"mon_false_positives\": " << r.mon_false_positives;
-            os << ", \"mon_false_negatives\": " << r.mon_false_negatives;
-            os << ", \"mon_first_detect\": " << r.mon_first_detect;
-            emit_array("mgr_p50", r.mgr_p50);
-            emit_array("mgr_p99", r.mgr_p99);
-            emit_array("mgr_p999", r.mgr_p999);
-            emit_array("mgr_flagged", r.mgr_flagged);
-            emit_array("mgr_signals", r.mgr_signals);
-            emit_array("mgr_hostile", r.mgr_hostile);
-            emit_array("mgr_detect", r.mgr_detect);
-            emit_array("mgr_occ_milli", r.mgr_occ_milli);
-        }
-        os << ", \"ticks_executed\": " << r.ticks_executed;
-        os << ", \"ticks_skipped\": " << r.ticks_skipped;
-        // Per-shard slices of the tick counters — the load-balance picture
-        // of the sharded kernel (single-element arrays when unsharded).
-        os << ", \"shard_ticks_executed\": [";
-        for (std::size_t s = 0; s < r.shard_ticks_executed.size(); ++s) {
-            os << (s > 0 ? ", " : "") << r.shard_ticks_executed[s];
-        }
-        os << "], \"shard_ticks_skipped\": [";
-        for (std::size_t s = 0; s < r.shard_ticks_skipped.size(); ++s) {
-            os << (s > 0 ? ", " : "") << r.shard_ticks_skipped[s];
-        }
-        os << ']';
-        os << ", \"fast_forwarded_cycles\": " << r.fast_forwarded_cycles;
-        os << ", \"simulated_cycles\": " << r.simulated_cycles;
-        os << ", \"wall_seconds\": ";
-        json_number(os, r.wall_seconds);
-        // Host-side simulation speed (simulated cycles per wall second):
-        // the regression metric CI tracks across commits.
-        os << ", \"sim_cycles_per_sec\": ";
-        json_number(os, r.wall_seconds > 0.0
-                            ? static_cast<double>(r.simulated_cycles) / r.wall_seconds
-                            : 0.0);
-        if (!r.profile.empty()) {
-            // Cycle-attribution profile (`--profile`), heaviest bucket
-            // first. Host-side observability: the resume scanner ignores it
-            // (scan_result keys off fixed field names), so a dump with
-            // profiles resumes exactly like one without.
-            os << ", \"profile\": [";
-            for (std::size_t k = 0; k < r.profile.size(); ++k) {
-                const ProfileRow& row = r.profile[k];
-                os << (k > 0 ? ", " : "") << "{\"type\": ";
-                json_escape(os, row.type);
-                os << ", \"shard\": " << row.shard
-                   << ", \"components\": " << row.components
-                   << ", \"ticks\": " << row.ticks << ", \"nanos\": " << row.nanos
-                   << '}';
+        const char* sep = "    {";
+        ScenarioResult::for_each_field([&](const char* key, auto member, FieldTag tag) {
+            const auto& value = r.*member;
+            // The monitoring group appears only on monitored runs, the
+            // profile only when one was recorded.
+            if (tag == FieldTag::kMonitor && !r.mon_enabled) { return; }
+            if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                         std::vector<ProfileRow>>) {
+                if (value.empty()) { return; }
             }
-            os << ']';
-        }
+            os << sep << '"' << key << "\": ";
+            sep = ", ";
+            write_value(os, value);
+            // Two derived keys ride along: the point's resume key after its
+            // label, and the host speed CI tracks after the wall time.
+            if (is_member(member, &ScenarioResult::label) && i < sweep.points.size()) {
+                char hash_buf[24];
+                std::snprintf(hash_buf, sizeof hash_buf, "0x%016llx",
+                              static_cast<unsigned long long>(
+                                  config_hash(sweep.points[i].config)));
+                os << ", \"config_hash\": \"" << hash_buf << '"';
+            }
+            if (is_member(member, &ScenarioResult::wall_seconds)) {
+                os << ", \"sim_cycles_per_sec\": ";
+                write_value(os, r.sim_cycles_per_sec());
+            }
+        });
         os << '}' << (i + 1 < results.size() ? "," : "") << '\n';
     }
     os << "  ]\n}\n";
@@ -285,125 +252,226 @@ bool write_json_file(const std::string& path, const Sweep& sweep,
 
 namespace {
 
-/// Start of the value of `"key": <value>` in `line`, or nullptr when the
-/// key is absent. The emitter writes one point object per line with unique
-/// keys, so a flat scan is unambiguous.
-const char* find_value(const std::string& line, const char* key) {
-    const std::string needle = std::string{"\""} + key + "\": ";
-    const std::size_t pos = line.find(needle);
-    return pos == std::string::npos ? nullptr : line.c_str() + pos + needle.size();
-}
+/// Strict parser for one point line of a `write_json` dump: exactly one
+/// JSON object, optionally followed by the separating comma. Keys in the
+/// field tables parse into their typed members, absent keys keep their
+/// defaults, and other keys are skipped as generic JSON values. Anything
+/// else — a cut-off value, a wrong type, trailing text — throws, naming
+/// the file, line and column. (A value must be followed by ',' or a
+/// closing bracket, so `14x`, or `1.5` in an integer field, is an error
+/// rather than 14 or 1.)
+class PointParser {
+public:
+    PointParser(std::string_view line, std::string where)
+        : text_{line}, where_{std::move(where)} {}
 
-double scan_number(const std::string& line, const char* key, double fallback = 0.0) {
-    const char* start = find_value(line, key);
-    if (start == nullptr || std::strncmp(start, "null", 4) == 0) { return fallback; }
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    return end == start ? fallback : v;
-}
-
-std::uint64_t scan_u64(const std::string& line, const char* key) {
-    // Not via strtod: 64-bit values (seeds) exceed double's 53-bit mantissa.
-    const char* start = find_value(line, key);
-    if (start == nullptr) { return 0; }
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(start, &end, 10);
-    return end == start ? 0 : static_cast<std::uint64_t>(v);
-}
-
-bool scan_bool(const std::string& line, const char* key, bool fallback) {
-    const char* start = find_value(line, key);
-    return start == nullptr ? fallback : std::strncmp(start, "true", 4) == 0;
-}
-
-/// Parses `"key": [1, 2, ...]` into a u64 vector (empty when absent or not
-/// an array). Note the needle includes the opening quote, so the flat keys
-/// `ticks_executed` / `ticks_skipped` never match the `shard_`-prefixed
-/// array keys and vice versa.
-std::vector<std::uint64_t> scan_u64_array(const std::string& line, const char* key) {
-    std::vector<std::uint64_t> out;
-    const char* p = find_value(line, key);
-    if (p == nullptr || *p != '[') { return out; }
-    ++p;
-    while (*p != '\0' && *p != ']') {
-        while (*p == ' ' || *p == ',') { ++p; }
-        if (*p == ']' || *p == '\0') { break; }
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(p, &end, 10);
-        if (end == p) { break; }
-        out.push_back(static_cast<std::uint64_t>(v));
-        p = end;
+    void parse(ScenarioResult& r, std::optional<std::uint64_t>& hash) {
+        parse_object(r, [&](const std::string& key) {
+            if (key != "config_hash") { return false; }
+            const std::string s = parse_string();
+            std::uint64_t h = 0;
+            const char* last = s.data() + s.size();
+            if (!s.starts_with("0x") || s.size() == 2 ||
+                std::from_chars(s.data() + 2, last, h, 16).ptr != last) {
+                fail("bad config_hash");
+            }
+            hash = h;
+            return true;
+        });
+        eat(',');
+        if (peek() != '\0') { fail("trailing text after the point object"); }
     }
-    return out;
-}
 
-/// Extracts the point's label (first string field of every point line).
-/// Labels come from the registry and never contain escapes in practice; a
-/// label with a quote simply fails to parse and the point is skipped, in
-/// line with the loaders' overall tolerance.
-bool scan_label(const std::string& line, std::string& out) {
-    const char* start = find_value(line, "label");
-    if (start == nullptr || *start != '"') { return false; }
-    const char* close = std::strchr(start + 1, '"');
-    if (close == nullptr) { return false; }
-    out.assign(start + 1, close);
-    return true;
-}
-
-/// Parses the metric fields of one point line (shared by the hash-keyed
-/// resume loader and the label-keyed diff loader).
-ScenarioResult scan_result(const std::string& line) {
-    ScenarioResult r;
-    r.seed = scan_u64(line, "seed");
-    r.boot_ok = scan_bool(line, "boot_ok", true);
-    r.timed_out = scan_bool(line, "timed_out", false);
-    r.run_cycles = scan_u64(line, "run_cycles");
-    r.ops = scan_u64(line, "ops");
-    r.load_lat_mean = scan_number(line, "load_lat_mean");
-    r.load_lat_min = scan_u64(line, "load_lat_min");
-    r.load_lat_max = scan_u64(line, "load_lat_max");
-    r.load_lat_p99 = scan_u64(line, "load_lat_p99");
-    r.store_lat_mean = scan_number(line, "store_lat_mean");
-    r.store_lat_max = scan_u64(line, "store_lat_max");
-    r.dma_bytes = scan_u64(line, "dma_bytes");
-    r.dma_read_bw = scan_number(line, "dma_read_bw");
-    r.dma_depletions = scan_u64(line, "dma_depletions");
-    r.dma_isolation_cycles = scan_u64(line, "dma_isolation_cycles");
-    r.dma_throttle_stalls = scan_u64(line, "dma_throttle_stalls");
-    r.dma_cut_through = scan_u64(line, "dma_cut_through");
-    r.xbar_w_stalls = scan_u64(line, "xbar_w_stalls");
-    r.fabric_hops = scan_u64(line, "fabric_hops");
-    r.mon_enabled = scan_bool(line, "mon_enabled", false);
-    if (r.mon_enabled) {
-        r.mon_lat_p50 = scan_u64(line, "mon_lat_p50");
-        r.mon_lat_p99 = scan_u64(line, "mon_lat_p99");
-        r.mon_lat_p999 = scan_u64(line, "mon_lat_p999");
-        r.mon_timeouts = scan_u64(line, "mon_timeouts");
-        r.mon_orphan_rsp = scan_u64(line, "mon_orphan_rsp");
-        r.mon_orphan_req = scan_u64(line, "mon_orphan_req");
-        r.mon_stall_events = scan_u64(line, "mon_stall_events");
-        r.mon_wgap_events = scan_u64(line, "mon_wgap_events");
-        r.mon_true_positives = scan_u64(line, "mon_true_positives");
-        r.mon_false_positives = scan_u64(line, "mon_false_positives");
-        r.mon_false_negatives = scan_u64(line, "mon_false_negatives");
-        r.mon_first_detect = scan_u64(line, "mon_first_detect");
-        r.mgr_p50 = scan_u64_array(line, "mgr_p50");
-        r.mgr_p99 = scan_u64_array(line, "mgr_p99");
-        r.mgr_p999 = scan_u64_array(line, "mgr_p999");
-        r.mgr_flagged = scan_u64_array(line, "mgr_flagged");
-        r.mgr_signals = scan_u64_array(line, "mgr_signals");
-        r.mgr_hostile = scan_u64_array(line, "mgr_hostile");
-        r.mgr_detect = scan_u64_array(line, "mgr_detect");
-        r.mgr_occ_milli = scan_u64_array(line, "mgr_occ_milli");
+private:
+    [[noreturn]] void fail(const char* what) const {
+        throw std::runtime_error(where_ + ": malformed point line: " + what +
+                                 " at column " + std::to_string(pos_ + 1));
     }
-    r.ticks_executed = scan_u64(line, "ticks_executed");
-    r.ticks_skipped = scan_u64(line, "ticks_skipped");
-    r.shard_ticks_executed = scan_u64_array(line, "shard_ticks_executed");
-    r.shard_ticks_skipped = scan_u64_array(line, "shard_ticks_skipped");
-    r.fast_forwarded_cycles = scan_u64(line, "fast_forwarded_cycles");
-    r.simulated_cycles = scan_u64(line, "simulated_cycles");
-    r.wall_seconds = scan_number(line, "wall_seconds");
-    return r;
+
+    /// Next non-blank character ('\0' at the end of the line).
+    char peek() {
+        while (pos_ < text_.size() &&
+               (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\r')) {
+            ++pos_;
+        }
+        return pos_ < text_.size() ? text_[pos_] : '\0';
+    }
+
+    bool eat(char c) {
+        const bool hit = peek() == c;
+        pos_ += hit ? 1 : 0;
+        return hit;
+    }
+
+    void expect(char c) {
+        if (!eat(c)) { fail((std::string{"expected '"} + c + "'").c_str()); }
+    }
+
+    bool literal(std::string_view word) {
+        peek(); // skip blanks
+        if (text_.substr(pos_, word.size()) != word) { return false; }
+        pos_ += word.size();
+        return true;
+    }
+
+    /// Numbers via `from_chars`: no sign on unsigned fields, range-checked.
+    template <typename T>
+    void parse_number(T& v) {
+        peek(); // skip blanks
+        const auto [end, ec] =
+            std::from_chars(text_.data() + pos_, text_.data() + text_.size(), v);
+        if (ec != std::errc{}) { fail("bad number"); }
+        pos_ = static_cast<std::size_t>(end - text_.data());
+    }
+
+    void parse_value(std::uint64_t& v) { parse_number(v); }
+    void parse_value(unsigned& v) { parse_number(v); }
+    void parse_value(std::string& v) { v = parse_string(); }
+
+    void parse_value(bool& v) {
+        v = literal("true");
+        if (!v && !literal("false")) { fail("expected true or false"); }
+    }
+
+    void parse_value(double& v) {
+        // The emitter writes non-finite doubles as null.
+        if (literal("null")) {
+            v = std::numeric_limits<double>::quiet_NaN();
+        } else if (const char c = peek(); c == '-' || (c >= '0' && c <= '9')) {
+            parse_number(v);
+        } else {
+            fail("expected a number");
+        }
+    }
+
+    void parse_value(ProfileRow& row) {
+        parse_object(row, [](const std::string&) { return false; });
+    }
+
+    template <typename T>
+    void parse_value(std::vector<T>& v) {
+        v.clear();
+        expect('[');
+        if (eat(']')) { return; }
+        do {
+            parse_value(v.emplace_back());
+        } while (eat(','));
+        expect(']');
+    }
+
+    /// `{"key": value, ...}` into `record`; `extra(key)` may consume the
+    /// value of a key outside the record's table.
+    template <typename Record, typename Extra>
+    void parse_object(Record& record, Extra&& extra) {
+        expect('{');
+        if (eat('}')) { return; }
+        do {
+            const std::string key = parse_string();
+            expect(':');
+            bool known = false;
+            Record::for_each_field([&](const char* name, auto member, FieldTag) {
+                if (!known && key == name) {
+                    parse_value(record.*member);
+                    known = true;
+                }
+            });
+            if (!known && !extra(key)) { skip_value(0); }
+        } while (eat(','));
+        expect('}');
+    }
+
+    std::string parse_string() {
+        static constexpr std::string_view kEscapes = "\"\\/bfnrt";
+        static constexpr std::string_view kChars = "\"\\/\b\f\n\r\t";
+        expect('"');
+        std::string out;
+        while (pos_ < text_.size()) {
+            const char c = text_[pos_++];
+            if (c == '"') { return out; }
+            if (static_cast<unsigned char>(c) < 0x20) { fail("control character in a string"); }
+            if (c != '\\' || pos_ == text_.size()) {
+                out += c;
+            } else if (const std::size_t k = kEscapes.find(text_[pos_]); k != kEscapes.npos) {
+                out += kChars[k];
+                ++pos_;
+            } else {
+                // \u00XX: the emitter escapes only control characters this way.
+                unsigned code = 0x80;
+                const char* first = text_.data() + pos_ + 1;
+                if (text_[pos_] != 'u' || text_.size() - pos_ < 5 ||
+                    std::from_chars(first, first + 4, code, 16).ptr != first + 4 ||
+                    code >= 0x80) {
+                    fail("unsupported escape");
+                }
+                out += static_cast<char>(code);
+                pos_ += 5;
+            }
+        }
+        fail("unterminated string");
+    }
+
+    /// Skips any JSON value (keys outside the tables, such as the derived
+    /// `sim_cycles_per_sec`); nesting is bounded so hostile input cannot
+    /// exhaust the stack.
+    void skip_value(int depth) {
+        const char open = peek();
+        if (open == '"') {
+            (void)parse_string();
+        } else if (open != '{' && open != '[') {
+            double ignored = 0;
+            if (!literal("true") && !literal("false")) { parse_value(ignored); }
+        } else if (depth > 32) {
+            fail("value nested too deeply");
+        } else {
+            ++pos_;
+            const char close = open == '{' ? '}' : ']';
+            if (eat(close)) { return; }
+            do {
+                if (open == '{') {
+                    (void)parse_string();
+                    expect(':');
+                }
+                skip_value(depth + 1);
+            } while (eat(','));
+            expect(close);
+        }
+    }
+
+    std::string_view text_;
+    std::string where_;
+    std::size_t pos_ = 0;
+};
+
+/// One point of a dump: its result and, when the point carries one, the
+/// `config_hash` of the config that produced it.
+struct DumpPoint {
+    std::optional<std::uint64_t> hash;
+    ScenarioResult result;
+};
+
+/// Every point of a `write_json` dump, in file order. The emitter writes
+/// one object per line, so after the document's opening line each line
+/// starting with '{' is one point; header lines are skipped.
+std::vector<DumpPoint> read_dump(const std::string& path) {
+    std::vector<DumpPoint> points;
+    std::ifstream in{path};
+    std::string line;
+    for (std::size_t n = 1; std::getline(in, line); ++n) {
+        const std::size_t first = line.find_first_not_of(" \t");
+        if (n == 1 || first == std::string::npos || line[first] != '{') { continue; }
+        DumpPoint& p = points.emplace_back();
+        PointParser{line, path + ":" + std::to_string(n)}.parse(p.result, p.hash);
+    }
+    return points;
+}
+
+/// A field's value as the dump writes it, looked up by JSON key.
+std::string field_text(const ScenarioResult& r, const std::string& key) {
+    std::ostringstream os;
+    ScenarioResult::for_each_field([&](const char* name, auto member, FieldTag) {
+        if (key == name) { write_value(os, r.*member); }
+    });
+    return os.str();
 }
 
 } // namespace
@@ -411,18 +479,8 @@ ScenarioResult scan_result(const std::string& line) {
 std::unordered_map<std::uint64_t, ScenarioResult>
 load_json_results(const std::string& path) {
     std::unordered_map<std::uint64_t, ScenarioResult> cache;
-    std::ifstream in{path};
-    if (!in) { return cache; }
-    std::string line;
-    while (std::getline(in, line)) {
-        const std::size_t hash_pos = line.find("\"config_hash\": \"");
-        if (hash_pos == std::string::npos) { continue; }
-        char* end = nullptr;
-        const std::uint64_t hash = std::strtoull(
-            line.c_str() + hash_pos + std::strlen("\"config_hash\": \""), &end, 16);
-        if (end == nullptr || *end != '"') { continue; }
-
-        cache.emplace(hash, scan_result(line));
+    for (DumpPoint& p : read_dump(path)) {
+        if (p.hash) { cache.emplace(*p.hash, std::move(p.result)); }
     }
     return cache;
 }
@@ -430,68 +488,52 @@ load_json_results(const std::string& path) {
 std::unordered_map<std::string, ScenarioResult>
 load_json_results_by_label(const std::string& path) {
     std::unordered_map<std::string, ScenarioResult> cache;
-    std::ifstream in{path};
-    if (!in) { return cache; }
-    std::string line;
-    std::string label;
-    while (std::getline(in, line)) {
-        // Point lines are the ones carrying a config hash (the document
-        // header also has a "label"-free "sweep" string, never matched).
-        if (line.find("\"config_hash\": \"") == std::string::npos) { continue; }
-        if (!scan_label(line, label)) { continue; }
-        ScenarioResult r = scan_result(line);
-        r.label = label;
-        cache.emplace(std::move(label), std::move(r));
+    for (DumpPoint& p : read_dump(path)) {
+        std::string label = p.result.label;
+        cache.emplace(std::move(label), std::move(p.result));
     }
     return cache;
 }
 
 std::vector<ProfileRow> load_profile_rows(const std::string& path) {
     std::vector<ProfileRow> rows;
-    std::ifstream in{path};
-    if (!in) { return rows; }
-    std::string line;
-    while (std::getline(in, line)) {
-        const char* p = find_value(line, "profile");
-        if (p == nullptr || *p != '[') { continue; }
-        // Row objects are flat ({"type": ..., "shard": ..., ...}) and type
-        // names never contain braces, so brace matching is unambiguous.
-        while (*p != '\0' && *p != ']') {
-            const char* open = std::strchr(p, '{');
-            if (open == nullptr) { break; }
-            const char* close = std::strchr(open, '}');
-            if (close == nullptr) { break; }
-            const std::string obj(open, close + 1);
-            ProfileRow row;
-            if (const char* t = find_value(obj, "type");
-                t != nullptr && *t == '"') {
-                if (const char* q = std::strchr(t + 1, '"'); q != nullptr) {
-                    row.type.assign(t + 1, q);
-                }
-            }
-            row.shard = static_cast<unsigned>(scan_u64(obj, "shard"));
-            row.components = scan_u64(obj, "components");
-            row.ticks = scan_u64(obj, "ticks");
-            row.nanos = scan_u64(obj, "nanos");
-            if (!row.type.empty()) { rows.push_back(std::move(row)); }
-            p = close + 1;
-        }
+    for (const DumpPoint& p : read_dump(path)) {
+        rows.insert(rows.end(), p.result.profile.begin(), p.result.profile.end());
     }
     return rows;
 }
 
-namespace {
-
-/// Host-side simulation speed of a (possibly parsed-back) result, or 0 when
-/// the run has no usable timing (e.g. a baseline dumped before the fields
-/// existed, or a zero-length run).
-double host_speed(const ScenarioResult& r) {
-    return r.wall_seconds > 0.0
-               ? static_cast<double>(r.simulated_cycles) / r.wall_seconds
-               : 0.0;
+std::vector<std::string> compare_dumps(const std::string& a_path,
+                                       const std::string& b_path) {
+    const std::vector<DumpPoint> a = read_dump(a_path);
+    const std::vector<DumpPoint> b = read_dump(b_path);
+    std::vector<std::string> out;
+    if (a.empty()) { out.push_back(a_path + ": no points"); }
+    if (b.empty()) { out.push_back(b_path + ": no points"); }
+    if (!out.empty()) { return out; }
+    std::unordered_map<std::string, const ScenarioResult*> b_by_label;
+    for (const DumpPoint& p : b) { b_by_label.emplace(p.result.label, &p.result); }
+    std::unordered_set<std::string> in_a;
+    for (const DumpPoint& p : a) {
+        const ScenarioResult& ra = p.result;
+        in_a.insert(ra.label);
+        const auto it = b_by_label.find(ra.label);
+        if (it == b_by_label.end()) {
+            out.push_back("'" + ra.label + "': only in " + a_path);
+            continue;
+        }
+        for (const std::string& key : semantic_mismatches(ra, *it->second)) {
+            out.push_back("'" + ra.label + "' " + key + ": " + field_text(ra, key) +
+                          " vs " + field_text(*it->second, key));
+        }
+    }
+    for (const DumpPoint& p : b) {
+        if (!in_a.contains(p.result.label)) {
+            out.push_back("'" + p.result.label + "': only in " + b_path);
+        }
+    }
+    return out;
 }
-
-} // namespace
 
 DiffReport diff_against_baseline(const std::string& baseline_path,
                                  const std::vector<ScenarioResult>& results,
@@ -527,8 +569,8 @@ DiffReport diff_against_baseline(const std::string& baseline_path,
         // (recomputed from the stored fields, so old baselines work) and
         // never feeds into the latency verdict.
         if (speed_threshold > 0.0) {
-            e.baseline_speed = host_speed(it->second);
-            e.current_speed = host_speed(r);
+            e.baseline_speed = it->second.sim_cycles_per_sec();
+            e.current_speed = r.sim_cycles_per_sec();
             if (e.baseline_speed > 0.0 && e.current_speed > 0.0) {
                 ++report.speed_compared;
                 e.speed_regressed =

@@ -58,9 +58,11 @@ private:
 };
 
 /// Writes the sweep's results as a JSON document:
-/// `{"sweep": ..., "points": [{label, config_hash, seed, metrics...}, ...]}`.
-/// Each point carries the `config_hash` of its config (resume key) and
-/// `sim_cycles_per_sec`, the host-side simulation speed CI tracks.
+/// `{"sweep": ..., "points": [{label, config_hash, seed, metrics...}, ...]}`,
+/// one point object per line, fields as listed by
+/// `ScenarioResult::for_each_field`. Each point also carries the
+/// `config_hash` of its config (resume key) and `sim_cycles_per_sec`, the
+/// host-side simulation speed CI tracks.
 void write_json(std::ostream& os, const Sweep& sweep,
                 const std::vector<ScenarioResult>& results);
 
@@ -68,27 +70,42 @@ void write_json(std::ostream& os, const Sweep& sweep,
 bool write_json_file(const std::string& path, const Sweep& sweep,
                      const std::vector<ScenarioResult>& results);
 
-/// Parses a previous `write_json` dump back into results keyed by
-/// `config_hash`. Tolerant: a missing/unreadable file or malformed points
-/// yield an empty/partial map, never an error — resume then simply re-runs.
+/// \name Dump readers
+/// The readers share one strict parser driven by the result field table
+/// (`ScenarioResult::for_each_field`). A missing file reads as a dump with
+/// no points, and a key absent from a point keeps its default, so dumps
+/// written before a field existed still load. A point line that is not one
+/// complete JSON object — a dump cut mid-line, a wrong value type —
+/// throws `std::runtime_error` naming the file and line. A dump cut at a
+/// line boundary reads as its complete prefix.
+///@{
+/// Results keyed by `config_hash` (the resume key; points without a hash
+/// are skipped).
 [[nodiscard]] std::unordered_map<std::uint64_t, ScenarioResult>
 load_json_results(const std::string& path);
 
-/// Parses a previous `write_json` dump back into results keyed by point
-/// *label* — the report-to-report key: labels are stable across code
-/// changes that move `config_hash` (that is the point of the differ),
-/// while hashes are stable across label renames (that is the point of
-/// resume). Same tolerance as `load_json_results`.
+/// Results keyed by point *label* — the report-to-report key: labels are
+/// stable across code changes that move `config_hash` (that is the point
+/// of the differ), while hashes are stable across label renames (that is
+/// the point of resume).
 [[nodiscard]] std::unordered_map<std::string, ScenarioResult>
 load_json_results_by_label(const std::string& path);
 
-/// Parses the cycle-attribution profile rows out of a previous `--profile
-/// --json` dump, concatenated across every point that carries them (the
-/// balanced partitioner's weight model aggregates per component type, so
-/// merging points is the intended use). Same tolerance as the other
-/// loaders: missing file or absent profiles yield an empty vector.
+/// The cycle-attribution profile rows of a `--profile --json` dump,
+/// concatenated across every point that carries them (the balanced
+/// partitioner's weight model aggregates per component type, so merging
+/// points is the intended use).
 [[nodiscard]] std::vector<ProfileRow>
 load_profile_rows(const std::string& path);
+
+/// Semantic comparison of two dumps, points matched by label: one line per
+/// divergence — a semantic field that differs (naming label, field and
+/// both values), a label present in only one dump, or a dump with no
+/// points at all. Empty means the dumps agree on every field but host-side
+/// bookkeeping. Backs `scenario_sweep --compare A.json B.json`.
+[[nodiscard]] std::vector<std::string> compare_dumps(const std::string& a_path,
+                                                     const std::string& b_path);
+///@}
 
 /// \name Report-to-report regression diffing
 ///@{

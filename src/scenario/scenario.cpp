@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -264,9 +265,10 @@ namespace {
 /// semantics change, invalidating stale caches wholesale.
 class ConfigDigest {
 public:
-    static constexpr std::uint64_t kVersion = 8; ///< v8: pipelined links
-                                                 ///< (`link_latency`) on the
-                                                 ///< NoC fabrics
+    /// v8: pipelined links (`link_latency`) on the NoC fabrics. v9: the
+    /// dump carries the M&R fields, so older dumps (which read them back
+    /// as 0) are never reused.
+    static constexpr std::uint64_t kVersion = 9;
 
     ConfigDigest() { mix(kVersion); }
 
@@ -449,6 +451,21 @@ std::uint64_t config_hash(const ScenarioConfig& cfg) {
     d.mix(cfg.shards);
     d.mix(cfg.seed);
     return d.value();
+}
+
+std::vector<std::string> semantic_mismatches(const ScenarioResult& a,
+                                             const ScenarioResult& b) {
+    std::vector<std::string> out;
+    ScenarioResult::for_each_field([&](const char* key, auto member, FieldTag tag) {
+        const auto& x = a.*member;
+        const auto& y = b.*member;
+        bool same = x == y;
+        if constexpr (std::is_same_v<std::decay_t<decltype(x)>, double>) {
+            same = same || (std::isnan(x) && std::isnan(y)); // both dumped as null
+        }
+        if (tag != FieldTag::kHost && !same) { out.emplace_back(key); }
+    });
+    return out;
 }
 
 } // namespace realm::scenario

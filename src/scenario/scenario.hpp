@@ -92,6 +92,20 @@ struct PreloadSpan {
     bool warm = true;
 };
 
+/// How a result field takes part in the `--json` dump and in comparisons
+/// (see `ScenarioResult::for_each_field`).
+enum class FieldTag : std::uint8_t {
+    /// Simulated outcome: bit-identical across shard counts, partitions,
+    /// schedulers, threads and resume.
+    kSemantic,
+    /// Host-side bookkeeping (tick counts, wall time, profile): equivalent
+    /// runs may differ here.
+    kHost,
+    /// Monitoring-plane telemetry: semantic, but emitted only when
+    /// `mon_enabled`.
+    kMonitor,
+};
+
 /// One row of the cycle-attribution profile (`ScenarioConfig::profile`):
 /// wall time and executed ticks charged to one (component type, shard).
 struct ProfileRow {
@@ -100,6 +114,19 @@ struct ProfileRow {
     std::uint64_t components = 0; ///< instances in the bucket
     std::uint64_t ticks = 0;      ///< executed ticks attributed
     std::uint64_t nanos = 0;      ///< wall time attributed
+
+    bool operator==(const ProfileRow&) const = default;
+
+    /// Field table of a profile row (same contract as
+    /// `ScenarioResult::for_each_field`; every field is host-side).
+    template <typename Visitor>
+    static constexpr void for_each_field(Visitor&& v) {
+        v("type", &ProfileRow::type, FieldTag::kHost);
+        v("shard", &ProfileRow::shard, FieldTag::kHost);
+        v("components", &ProfileRow::components, FieldTag::kHost);
+        v("ticks", &ProfileRow::ticks, FieldTag::kHost);
+        v("nanos", &ProfileRow::nanos, FieldTag::kHost);
+    }
 };
 
 /// How the mesh fabric's tiles are distributed over the spatial shards.
@@ -274,11 +301,86 @@ struct ScenarioResult {
     std::vector<ProfileRow> profile;
     ///@}
 
-    [[nodiscard]] double cycles_per_op() const noexcept {
-        return ops == 0 ? 0.0
-                        : static_cast<double>(run_cycles) / static_cast<double>(ops);
+    /// Host-side simulation speed (simulated cycles per wall second), or 0
+    /// without usable timing (a zero-length run, or a dump read back from
+    /// before the fields existed).
+    [[nodiscard]] double sim_cycles_per_sec() const noexcept {
+        return wall_seconds > 0.0 ? static_cast<double>(simulated_cycles) / wall_seconds
+                                  : 0.0;
+    }
+
+    /// The field table: calls `v(json_key, &ScenarioResult::member, tag)`
+    /// once per field, in `--json` emission order. It is the one place a
+    /// result field is listed: `write_json`, the dump reader,
+    /// `semantic_mismatches` and `scenario_sweep --compare` all iterate it,
+    /// so adding a field means one struct member plus one line here.
+    template <typename Visitor>
+    static constexpr void for_each_field(Visitor&& v) {
+        using R = ScenarioResult;
+        constexpr FieldTag kSem = FieldTag::kSemantic;
+        constexpr FieldTag kHost = FieldTag::kHost;
+        constexpr FieldTag kMon = FieldTag::kMonitor;
+        v("label", &R::label, kSem);
+        v("seed", &R::seed, kSem);
+        v("boot_ok", &R::boot_ok, kSem);
+        v("timed_out", &R::timed_out, kSem);
+        v("run_cycles", &R::run_cycles, kSem);
+        v("ops", &R::ops, kSem);
+        v("load_lat_mean", &R::load_lat_mean, kSem);
+        v("load_lat_min", &R::load_lat_min, kSem);
+        v("load_lat_max", &R::load_lat_max, kSem);
+        v("load_lat_p99", &R::load_lat_p99, kSem);
+        v("store_lat_mean", &R::store_lat_mean, kSem);
+        v("store_lat_max", &R::store_lat_max, kSem);
+        v("dma_bytes", &R::dma_bytes, kSem);
+        v("dma_read_bw", &R::dma_read_bw, kSem);
+        v("dma_depletions", &R::dma_depletions, kSem);
+        v("dma_isolation_cycles", &R::dma_isolation_cycles, kSem);
+        v("dma_throttle_stalls", &R::dma_throttle_stalls, kSem);
+        v("dma_cut_through", &R::dma_cut_through, kSem);
+        v("xbar_w_stalls", &R::xbar_w_stalls, kSem);
+        v("fabric_hops", &R::fabric_hops, kSem);
+        v("dma_mr_bytes_total", &R::dma_mr_bytes_total, kSem);
+        v("dma_mr_read_lat_mean", &R::dma_mr_read_lat_mean, kSem);
+        v("core_mr_read_lat_mean", &R::core_mr_read_lat_mean, kSem);
+        v("core_mr_write_lat_max", &R::core_mr_write_lat_max, kSem);
+        v("mon_enabled", &R::mon_enabled, kMon);
+        v("mon_lat_p50", &R::mon_lat_p50, kMon);
+        v("mon_lat_p99", &R::mon_lat_p99, kMon);
+        v("mon_lat_p999", &R::mon_lat_p999, kMon);
+        v("mon_timeouts", &R::mon_timeouts, kMon);
+        v("mon_orphan_rsp", &R::mon_orphan_rsp, kMon);
+        v("mon_orphan_req", &R::mon_orphan_req, kMon);
+        v("mon_stall_events", &R::mon_stall_events, kMon);
+        v("mon_wgap_events", &R::mon_wgap_events, kMon);
+        v("mon_true_positives", &R::mon_true_positives, kMon);
+        v("mon_false_positives", &R::mon_false_positives, kMon);
+        v("mon_false_negatives", &R::mon_false_negatives, kMon);
+        v("mon_first_detect", &R::mon_first_detect, kMon);
+        v("mgr_p50", &R::mgr_p50, kMon);
+        v("mgr_p99", &R::mgr_p99, kMon);
+        v("mgr_p999", &R::mgr_p999, kMon);
+        v("mgr_flagged", &R::mgr_flagged, kMon);
+        v("mgr_signals", &R::mgr_signals, kMon);
+        v("mgr_hostile", &R::mgr_hostile, kMon);
+        v("mgr_detect", &R::mgr_detect, kMon);
+        v("mgr_occ_milli", &R::mgr_occ_milli, kMon);
+        v("ticks_executed", &R::ticks_executed, kHost);
+        v("ticks_skipped", &R::ticks_skipped, kHost);
+        v("shard_ticks_executed", &R::shard_ticks_executed, kHost);
+        v("shard_ticks_skipped", &R::shard_ticks_skipped, kHost);
+        v("fast_forwarded_cycles", &R::fast_forwarded_cycles, kHost);
+        v("simulated_cycles", &R::simulated_cycles, kSem);
+        v("wall_seconds", &R::wall_seconds, kHost);
+        v("profile", &R::profile, kHost);
     }
 };
+
+/// Names (JSON keys) of the semantic and monitoring fields in which `a` and
+/// `b` differ, in table order; empty when the two runs agree bit for bit on
+/// everything but host-side bookkeeping.
+[[nodiscard]] std::vector<std::string> semantic_mismatches(const ScenarioResult& a,
+                                                           const ScenarioResult& b);
 
 /// Runs one scenario end to end in a fresh simulation context.
 /// \param label  Result label (defaults to `cfg.name`).

@@ -9,7 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 namespace realm::scenario {
 namespace {
@@ -54,6 +59,24 @@ TEST(Registry, KnowsTheRingSweeps) {
     EXPECT_EQ(matrix.points.size(), 40U);
     for (const SweepPoint& p : matrix.points) {
         EXPECT_EQ(p.config.topology.ring.num_nodes, 24U);
+    }
+}
+
+TEST(Registry, EveryCrossbarDosCellBoots) {
+    // The boot script needs one plan per REALM unit, and the crossbar keeps
+    // one (idle) DSA port and unit even in the 0-attacker baselines.
+    for (const char* name : {"xbar-dos-smoke", "xbar-dos-matrix"}) {
+        for (const SweepPoint& p : make_sweep(name).points) {
+            const std::size_t plans = p.config.boot_plans.size();
+            EXPECT_TRUE(plans == 0 || plans == p.config.soc.num_dsa + 1)
+                << name << ' ' << p.label;
+        }
+    }
+    Sweep smoke = make_sweep("xbar-dos-smoke");
+    for (SweepPoint& p : smoke.points) { p.config.victim.stream.repeat = 1; }
+    for (const ScenarioResult& r : ScenarioRunner{RunnerOptions{.threads = 2}}.run(smoke)) {
+        EXPECT_TRUE(r.boot_ok) << r.label;
+        EXPECT_FALSE(r.timed_out) << r.label;
     }
 }
 
@@ -106,17 +129,7 @@ TEST(RunScenario, SeedSelectsTheRandomWorkload) {
 // --- Parallel runner ---------------------------------------------------------
 
 void expect_identical(const ScenarioResult& a, const ScenarioResult& b) {
-    EXPECT_EQ(a.label, b.label);
-    EXPECT_EQ(a.seed, b.seed);
-    EXPECT_EQ(a.run_cycles, b.run_cycles);
-    EXPECT_EQ(a.ops, b.ops);
-    EXPECT_EQ(a.load_lat_mean, b.load_lat_mean);
-    EXPECT_EQ(a.load_lat_max, b.load_lat_max);
-    EXPECT_EQ(a.store_lat_mean, b.store_lat_mean);
-    EXPECT_EQ(a.dma_bytes, b.dma_bytes);
-    EXPECT_EQ(a.dma_depletions, b.dma_depletions);
-    EXPECT_EQ(a.dma_isolation_cycles, b.dma_isolation_cycles);
-    EXPECT_EQ(a.xbar_w_stalls, b.xbar_w_stalls);
+    EXPECT_EQ(semantic_mismatches(a, b), std::vector<std::string>{});
     // Same scheduler on both sides: even the host-side evaluation counts
     // must line up, or the runs were not bit-identical.
     EXPECT_EQ(a.ticks_executed, b.ticks_executed);
@@ -246,35 +259,159 @@ Sweep quick_smoke_sweep() {
     return sweep;
 }
 
-TEST(Resume, JsonRoundTripRestoresEveryEmittedField) {
+std::string dump_text(const Sweep& sweep, const std::vector<ScenarioResult>& results) {
+    std::ostringstream os;
+    write_json(os, sweep, results);
+    return os.str();
+}
+
+/// Dumps `results`, reads them back through the resume loader and dumps
+/// the loaded results again.
+std::string reloaded_text(const Sweep& sweep, const std::vector<ScenarioResult>& results) {
+    const std::string path = "scenario_reload.json";
+    EXPECT_TRUE(write_json_file(path, sweep, results));
+    const auto cache = load_json_results(path);
+    std::remove(path.c_str());
+    std::vector<ScenarioResult> loaded;
+    for (const SweepPoint& p : sweep.points) {
+        loaded.push_back(cache.at(config_hash(p.config)));
+    }
+    return dump_text(sweep, loaded);
+}
+
+TEST(Resume, JsonRoundTripIsATextFixpoint) {
+    // write(load(write(x))) == write(x) on monitored runs with the core-side
+    // M&R region armed, so every table field (monitor group and M&R values
+    // included) goes through the reader and back.
+    Sweep sweep = quick_smoke_sweep();
+    for (SweepPoint& p : sweep.points) {
+        p.config.monitors.enabled = true;
+        p.config.monitor_llc_on_core = true;
+    }
+    auto results = ScenarioRunner{RunnerOptions{.threads = 2}}.run(sweep);
+    // The derived `sim_cycles_per_sec` is recomputed from the dumped wall
+    // time, which is rounded to 6 digits; a wall time that is already round
+    // keeps that derived key stable too.
+    for (ScenarioResult& r : results) { r.wall_seconds = 0.5; }
+    const std::string text = dump_text(sweep, results);
+    EXPECT_EQ(reloaded_text(sweep, results), text);
+    EXPECT_NE(text.find("\"mgr_occ_milli\""), std::string::npos);
+    EXPECT_GT(results[0].core_mr_read_lat_mean, 0.0);
+    EXPECT_GT(results[0].dma_mr_bytes_total, 0U);
+}
+
+TEST(Resume, EveryTableFieldReachesTheDumpAndReadsBack) {
+    // Set each field of a synthetic result in turn: the emitted text must
+    // change, reading it back must reproduce it, and the field is a semantic
+    // mismatch unless it is host-side.
+    Sweep sweep;
+    sweep.points.push_back({"p", ScenarioConfig{}});
+    ScenarioResult base;
+    base.mon_enabled = true; // emit the monitoring group
+    const std::string base_text = dump_text(sweep, {base});
+    std::size_t fields = 0;
+    ScenarioResult::for_each_field([&](const char* key, auto member, FieldTag tag) {
+        ScenarioResult r = base;
+        auto& value = r.*member;
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, bool>) {
+            value = !value;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            value = "q \"r\"\n";
+        } else if constexpr (std::is_arithmetic_v<T>) {
+            value = static_cast<T>(~std::uint64_t{0});
+        } else {
+            value.resize(2); // the vectors
+        }
+        SCOPED_TRACE(key);
+        ++fields;
+        const std::string text = dump_text(sweep, {r});
+        EXPECT_NE(text, base_text);
+        EXPECT_EQ(reloaded_text(sweep, {r}), text);
+        EXPECT_EQ(semantic_mismatches(base, r),
+                  tag == FieldTag::kHost ? std::vector<std::string>{}
+                                         : std::vector<std::string>{key});
+    });
+    EXPECT_GT(fields, 50U);
+}
+
+TEST(Resume, PointLineCutMidNumberIsRejected) {
+    // A dump cut inside a point line must not be reused: the reader throws,
+    // naming the file and line, instead of reading the cut value.
     Sweep sweep = quick_smoke_sweep();
     const auto results = ScenarioRunner{RunnerOptions{.threads = 2}}.run(sweep);
-    const std::string path = "scenario_resume_roundtrip.json";
-    ASSERT_TRUE(write_json_file(path, sweep, results));
-
-    const auto cache = load_json_results(path);
-    ASSERT_EQ(cache.size(), results.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto it = cache.find(config_hash(sweep.points[i].config));
-        ASSERT_NE(it, cache.end()) << sweep.points[i].label;
-        const ScenarioResult& a = results[i];
-        const ScenarioResult& b = it->second;
-        EXPECT_EQ(a.seed, b.seed);
-        EXPECT_EQ(a.boot_ok, b.boot_ok);
-        EXPECT_EQ(a.timed_out, b.timed_out);
-        EXPECT_EQ(a.run_cycles, b.run_cycles);
-        EXPECT_EQ(a.ops, b.ops);
-        EXPECT_EQ(a.load_lat_max, b.load_lat_max);
-        EXPECT_EQ(a.store_lat_max, b.store_lat_max);
-        EXPECT_EQ(a.dma_bytes, b.dma_bytes);
-        EXPECT_EQ(a.xbar_w_stalls, b.xbar_w_stalls);
-        EXPECT_EQ(a.fabric_hops, b.fabric_hops);
-        EXPECT_EQ(a.ticks_executed, b.ticks_executed);
-        EXPECT_EQ(a.simulated_cycles, b.simulated_cycles);
-        // Doubles survive the %.6g round trip only approximately.
-        EXPECT_NEAR(a.load_lat_mean, b.load_lat_mean, 1e-4 * (1.0 + a.load_lat_mean));
+    const std::string text = dump_text(sweep, results);
+    const std::size_t digits = text.find("\"run_cycles\": ") + 14;
+    ASSERT_GT(results[0].run_cycles, 9U) << "the cut must land inside the number";
+    const std::string path = "scenario_resume_cut.json";
+    std::ofstream{path} << text.substr(0, digits + 1); // one digit survives
+    try {
+        (void)load_json_results(path);
+        ADD_FAILURE() << "a cut point line was accepted";
+    } catch (const std::runtime_error& e) {
+        // Line 6 is the first point (after the document header).
+        EXPECT_NE(std::string{e.what()}.find(path + ":6:"), std::string::npos)
+            << e.what();
     }
+    EXPECT_THROW((void)ScenarioRunner{}.run_resumed(sweep, path), std::runtime_error);
+    EXPECT_THROW((void)load_json_results_by_label(path), std::runtime_error);
+    EXPECT_THROW((void)load_profile_rows(path), std::runtime_error);
+
+    // Wrong types and trailing text are rejected too; an unknown key is
+    // skipped and the key it replaced keeps its default.
+    const std::size_t first = text.find("    {");
+    const std::string line = text.substr(first, text.find('\n', first) - first);
+    const auto read_edited = [&](const std::string& from, const std::string& to) {
+        std::string edited = line;
+        std::ofstream{path} << "{\n" << edited.replace(edited.find(from), from.size(), to);
+        return load_json_results_by_label(path);
+    };
+    for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
+             {"\"ops\": ", "\"ops\": -"},
+             {"\"boot_ok\": true", "\"boot_ok\": 1"},
+             {"\"seed\": ", "\"seed\": 99999999999999999999"},
+             {"}", "} x"}}) {
+        EXPECT_THROW((void)read_edited(from, to), std::runtime_error) << to;
+    }
+    EXPECT_EQ(read_edited("\"ops\": ", "\"unknown_key\": ").at(results[0].label).ops, 0U);
     std::remove(path.c_str());
+}
+
+TEST(Resume, CompareIgnoresHostFieldsAndNamesSemanticEdits) {
+    Sweep sweep = quick_smoke_sweep();
+    sweep.points.resize(2);
+    const auto results = ScenarioRunner{RunnerOptions{.threads = 2}}.run(sweep);
+    const std::string a = "scenario_compare_a.json";
+    const std::string b = "scenario_compare_b.json";
+    ASSERT_TRUE(write_json_file(a, sweep, results));
+
+    auto host_edited = results;
+    for (ScenarioResult& r : host_edited) {
+        r.ticks_executed += 7;
+        r.wall_seconds *= 3;
+        r.shard_ticks_executed.push_back(1);
+        r.profile.push_back(ProfileRow{"Router", 0, 1, 2, 3});
+    }
+    ASSERT_TRUE(write_json_file(b, sweep, host_edited));
+    EXPECT_EQ(compare_dumps(a, b), std::vector<std::string>{});
+
+    auto semantic_edit = results;
+    semantic_edit[1].dma_bytes += 1;
+    ASSERT_TRUE(write_json_file(b, sweep, semantic_edit));
+    const std::vector<std::string> diff = compare_dumps(a, b);
+    ASSERT_EQ(diff.size(), 1U);
+    EXPECT_EQ(diff[0], "'" + results[1].label + "' dma_bytes: " +
+                           std::to_string(results[1].dma_bytes) + " vs " +
+                           std::to_string(results[1].dma_bytes + 1));
+
+    // A missing point, or a missing dump, never passes.
+    Sweep shorter = sweep;
+    shorter.points.resize(1);
+    ASSERT_TRUE(write_json_file(b, shorter, {results[0]}));
+    EXPECT_EQ(compare_dumps(a, b).size(), 1U);
+    EXPECT_FALSE(compare_dumps(a, "does_not_exist.json").empty());
+    std::remove(a.c_str());
+    std::remove(b.c_str());
 }
 
 TEST(Resume, RunResumedSkipsMatchingPointsAndRerunsChangedOnes) {
@@ -328,48 +465,6 @@ TEST(Resume, MonitoredPointsNeverAliasUnmonitoredCaches) {
     ASSERT_TRUE(write_json_file(path, monitored, results));
     const auto again = runner.run_resumed(monitored, path, &reused);
     EXPECT_EQ(reused, monitored.points.size());
-    std::remove(path.c_str());
-}
-
-TEST(Resume, MonitoredJsonRoundTripRestoresTelemetry) {
-    Sweep sweep = quick_smoke_sweep();
-    sweep.points.resize(2);
-    for (SweepPoint& p : sweep.points) { p.config.monitors.enabled = true; }
-    const auto results = ScenarioRunner{RunnerOptions{.threads = 2}}.run(sweep);
-    const std::string path = "scenario_monitored_roundtrip.json";
-    ASSERT_TRUE(write_json_file(path, sweep, results));
-
-    const auto cache = load_json_results(path);
-    ASSERT_EQ(cache.size(), results.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        SCOPED_TRACE(sweep.points[i].label);
-        const auto it = cache.find(config_hash(sweep.points[i].config));
-        ASSERT_NE(it, cache.end());
-        const ScenarioResult& a = results[i];
-        const ScenarioResult& b = it->second;
-        ASSERT_TRUE(b.mon_enabled);
-        EXPECT_EQ(a.mon_lat_p50, b.mon_lat_p50);
-        EXPECT_EQ(a.mon_lat_p99, b.mon_lat_p99);
-        EXPECT_EQ(a.mon_lat_p999, b.mon_lat_p999);
-        EXPECT_EQ(a.mon_timeouts, b.mon_timeouts);
-        EXPECT_EQ(a.mon_orphan_rsp, b.mon_orphan_rsp);
-        EXPECT_EQ(a.mon_orphan_req, b.mon_orphan_req);
-        EXPECT_EQ(a.mon_stall_events, b.mon_stall_events);
-        EXPECT_EQ(a.mon_wgap_events, b.mon_wgap_events);
-        EXPECT_EQ(a.mon_true_positives, b.mon_true_positives);
-        EXPECT_EQ(a.mon_false_positives, b.mon_false_positives);
-        EXPECT_EQ(a.mon_false_negatives, b.mon_false_negatives);
-        EXPECT_EQ(a.mon_first_detect, b.mon_first_detect);
-        EXPECT_EQ(a.mgr_p50, b.mgr_p50);
-        EXPECT_EQ(a.mgr_p99, b.mgr_p99);
-        EXPECT_EQ(a.mgr_p999, b.mgr_p999);
-        EXPECT_EQ(a.mgr_flagged, b.mgr_flagged);
-        EXPECT_EQ(a.mgr_signals, b.mgr_signals);
-        EXPECT_EQ(a.mgr_hostile, b.mgr_hostile);
-        EXPECT_EQ(a.mgr_detect, b.mgr_detect);
-        EXPECT_EQ(a.mgr_occ_milli, b.mgr_occ_milli);
-        EXPECT_FALSE(b.mgr_p99.empty());
-    }
     std::remove(path.c_str());
 }
 

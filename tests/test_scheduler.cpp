@@ -447,24 +447,7 @@ TEST(SchedulerEquivalence, Fig6TopologyBitIdentical) {
     ASSERT_FALSE(naive.timed_out);
     EXPECT_GT(naive.ops, 0U);
 
-    EXPECT_EQ(naive.run_cycles, fast.run_cycles);
-    EXPECT_EQ(naive.ops, fast.ops);
-    EXPECT_EQ(naive.load_lat_mean, fast.load_lat_mean);
-    EXPECT_EQ(naive.load_lat_min, fast.load_lat_min);
-    EXPECT_EQ(naive.load_lat_max, fast.load_lat_max);
-    EXPECT_EQ(naive.load_lat_p99, fast.load_lat_p99);
-    EXPECT_EQ(naive.store_lat_mean, fast.store_lat_mean);
-    EXPECT_EQ(naive.store_lat_max, fast.store_lat_max);
-    EXPECT_EQ(naive.dma_bytes, fast.dma_bytes);
-    EXPECT_EQ(naive.dma_read_bw, fast.dma_read_bw);
-    EXPECT_EQ(naive.dma_depletions, fast.dma_depletions);
-    EXPECT_EQ(naive.dma_isolation_cycles, fast.dma_isolation_cycles);
-    EXPECT_EQ(naive.dma_throttle_stalls, fast.dma_throttle_stalls);
-    EXPECT_EQ(naive.dma_cut_through, fast.dma_cut_through);
-    EXPECT_EQ(naive.xbar_w_stalls, fast.xbar_w_stalls);
-    EXPECT_EQ(naive.dma_mr_bytes_total, fast.dma_mr_bytes_total);
-    EXPECT_EQ(naive.dma_mr_read_lat_mean, fast.dma_mr_read_lat_mean);
-    EXPECT_EQ(naive.simulated_cycles, fast.simulated_cycles);
+    EXPECT_EQ(scenario::semantic_mismatches(naive, fast), std::vector<std::string>{});
 
     // And the activity kernel must actually have saved work. (No full
     // fast-forward here: the looping interference DMA never goes idle;
@@ -583,11 +566,7 @@ TEST(SchedulerEquivalence, DosAttackTopologyBitIdentical) {
     const scenario::ScenarioResult fast = scenario::run_scenario(cfg);
 
     ASSERT_FALSE(naive.timed_out);
-    EXPECT_EQ(naive.run_cycles, fast.run_cycles);
-    EXPECT_EQ(naive.store_lat_mean, fast.store_lat_mean);
-    EXPECT_EQ(naive.store_lat_max, fast.store_lat_max);
-    EXPECT_EQ(naive.xbar_w_stalls, fast.xbar_w_stalls);
-    EXPECT_EQ(naive.dma_cut_through, fast.dma_cut_through);
+    EXPECT_EQ(scenario::semantic_mismatches(naive, fast), std::vector<std::string>{});
 }
 
 // --- Sharded-kernel equivalence ----------------------------------------------
@@ -610,27 +589,6 @@ small_mesh_point(noc::RoutingPolicy routing, unsigned shards,
     cfg.shard_workers = shards > 1 ? 2 : 0;
     cfg.partition = partition;
     return cfg;
-}
-
-/// Field-by-field bit-identity of everything a sharded run could plausibly
-/// perturb (latency distribution, DMA progress, fabric counters, timing).
-void expect_same_results(const scenario::ScenarioResult& a,
-                         const scenario::ScenarioResult& b) {
-    EXPECT_EQ(a.run_cycles, b.run_cycles);
-    EXPECT_EQ(a.ops, b.ops);
-    EXPECT_EQ(a.load_lat_mean, b.load_lat_mean);
-    EXPECT_EQ(a.load_lat_min, b.load_lat_min);
-    EXPECT_EQ(a.load_lat_max, b.load_lat_max);
-    EXPECT_EQ(a.load_lat_p99, b.load_lat_p99);
-    EXPECT_EQ(a.store_lat_mean, b.store_lat_mean);
-    EXPECT_EQ(a.store_lat_max, b.store_lat_max);
-    EXPECT_EQ(a.dma_bytes, b.dma_bytes);
-    EXPECT_EQ(a.dma_read_bw, b.dma_read_bw);
-    EXPECT_EQ(a.dma_depletions, b.dma_depletions);
-    EXPECT_EQ(a.dma_isolation_cycles, b.dma_isolation_cycles);
-    EXPECT_EQ(a.xbar_w_stalls, b.xbar_w_stalls);
-    EXPECT_EQ(a.fabric_hops, b.fabric_hops);
-    EXPECT_EQ(a.simulated_cycles, b.simulated_cycles);
 }
 
 /// The budget cell of a 9-attacker DoS matrix with end-to-end pools cut to
@@ -668,8 +626,7 @@ TEST(SchedulerEquivalence, CreditStarvedBudgetRingBitIdentical) {
         const scenario::ScenarioResult fast = run_one(Scheduler::kActivity);
         ASSERT_FALSE(naive.timed_out);
         ASSERT_GT(naive.dma_isolation_cycles, 0U);
-        expect_same_results(naive, fast);
-        EXPECT_EQ(naive.dma_throttle_stalls, fast.dma_throttle_stalls);
+        EXPECT_EQ(scenario::semantic_mismatches(naive, fast), std::vector<std::string>{});
         EXPECT_LT(static_cast<double>(fast.ticks_executed) /
                       static_cast<double>(fast.simulated_cycles),
                   9.0)
@@ -690,8 +647,7 @@ TEST(ShardedKernel, CreditStarvedBudgetMeshMatchesTickAll) {
         cfg.shard_workers = shards > 1 ? 2 : 0;
         const scenario::ScenarioResult fast = scenario::run_scenario(cfg);
         SCOPED_TRACE(testing::Message() << "shards=" << shards);
-        expect_same_results(naive, fast);
-        EXPECT_EQ(naive.dma_throttle_stalls, fast.dma_throttle_stalls);
+        EXPECT_EQ(scenario::semantic_mismatches(naive, fast), std::vector<std::string>{});
         EXPECT_LT(static_cast<double>(fast.ticks_executed) /
                       static_cast<double>(fast.simulated_cycles),
                   9.0)
@@ -715,7 +671,7 @@ TEST(ShardedKernel, MeshBitIdenticalAcrossShardCountsAndPolicies) {
             SCOPED_TRACE(testing::Message()
                          << "routing=" << noc::to_string(routing)
                          << " shards=" << shards);
-            expect_same_results(ref, sharded);
+            EXPECT_EQ(scenario::semantic_mismatches(ref, sharded), std::vector<std::string>{});
         }
     }
 }
@@ -730,7 +686,7 @@ TEST(ShardedKernel, MatchesTickAllScheduler) {
     const scenario::ScenarioResult sharded =
         scenario::run_scenario(small_mesh_point(noc::RoutingPolicy::kO1Turn, 4));
     ASSERT_FALSE(naive.timed_out);
-    expect_same_results(naive, sharded);
+    EXPECT_EQ(scenario::semantic_mismatches(naive, sharded), std::vector<std::string>{});
 }
 
 TEST(ShardedKernel, OddWidthMeshBitIdentical) {
@@ -751,7 +707,7 @@ TEST(ShardedKernel, OddWidthMeshBitIdentical) {
         s.shards = shards;
         s.shard_workers = 2;
         SCOPED_TRACE(testing::Message() << "shards=" << shards);
-        expect_same_results(ref, scenario::run_scenario(s));
+        EXPECT_EQ(scenario::semantic_mismatches(ref, scenario::run_scenario(s)), std::vector<std::string>{});
     }
 }
 
@@ -773,7 +729,7 @@ TEST(ShardedKernel, LookaheadBatchedBitIdenticalAcrossShardsAndPolicies) {
             SCOPED_TRACE(testing::Message()
                          << "routing=" << noc::to_string(routing)
                          << " shards=" << shards << " link_latency=4");
-            expect_same_results(ref, sharded);
+            EXPECT_EQ(scenario::semantic_mismatches(ref, sharded), std::vector<std::string>{});
         }
     }
 }
@@ -788,7 +744,7 @@ TEST(ShardedKernel, LookaheadBatchingMatchesTickAllScheduler) {
     const scenario::ScenarioResult sharded = scenario::run_scenario(
         small_mesh_point(noc::RoutingPolicy::kO1Turn, 4, 2));
     ASSERT_FALSE(naive.timed_out);
-    expect_same_results(naive, sharded);
+    EXPECT_EQ(scenario::semantic_mismatches(naive, sharded), std::vector<std::string>{});
 }
 
 TEST(ShardedKernel, BalancedPartitionBitIdentical) {
@@ -801,10 +757,7 @@ TEST(ShardedKernel, BalancedPartitionBitIdentical) {
         for (const unsigned shards : {2U, 8U}) {
             SCOPED_TRACE(testing::Message() << "link_latency=" << latency
                                             << " shards=" << shards);
-            expect_same_results(
-                ref, scenario::run_scenario(small_mesh_point(
-                         noc::RoutingPolicy::kXY, shards, latency,
-                         scenario::PartitionPolicy::kBalanced)));
+            EXPECT_EQ(scenario::semantic_mismatches(ref, scenario::run_scenario(small_mesh_point( noc::RoutingPolicy::kXY, shards, latency, scenario::PartitionPolicy::kBalanced))), std::vector<std::string>{});
         }
     }
 }
@@ -835,7 +788,7 @@ TEST(ShardedKernel, RepeatedShardedRunsAreDeterministic) {
     const scenario::ScenarioResult first = scenario::run_scenario(cfg);
     const scenario::ScenarioResult second = scenario::run_scenario(cfg);
     ASSERT_FALSE(first.timed_out);
-    expect_same_results(first, second);
+    EXPECT_EQ(scenario::semantic_mismatches(first, second), std::vector<std::string>{});
 }
 
 TEST(ShardedKernel, ShrinkingShardCountFoldsCountersIntoShardZero) {
@@ -897,7 +850,7 @@ TEST(Profiler, ProfiledMeshRunIsBitIdenticalAndBucketsSumToTicks) {
         const scenario::ScenarioResult profiled = scenario::run_scenario(cfg);
         SCOPED_TRACE(testing::Message() << "shards=" << shards);
         ASSERT_FALSE(plain.timed_out);
-        expect_same_results(plain, profiled);
+        EXPECT_EQ(scenario::semantic_mismatches(plain, profiled), std::vector<std::string>{});
         EXPECT_EQ(profiled.ticks_executed, plain.ticks_executed);
         EXPECT_EQ(profiled.ticks_skipped, plain.ticks_skipped);
         EXPECT_TRUE(plain.profile.empty());
