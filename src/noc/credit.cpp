@@ -17,62 +17,53 @@ void NocFlowConfig::validate() const {
     REALM_EXPECTS(link_latency >= 1, "link_latency must be >= 1");
 }
 
-void NocLink::commit(Entry e) {
-    VcState& s = vc_[e.pkt.vc];
-    REALM_ENSURES(s.count < cap_, name_ + ": VC ring overflow");
-    s.flits += e.pkt.flits;
+void NocLink::add_flits(VcState& s, std::uint32_t flits) {
+    s.flits += flits;
     REALM_ENSURES(s.flits <= fc_.vc_depth,
                   name_ + ": VC buffer exceeds its configured depth");
-    if (s.flits > s.peak) { s.peak = s.flits; }
-    slot(e.pkt.vc, s.head + s.count) = std::move(e);
-    ++s.count;
+    s.peak = std::max(s.peak, s.flits);
 }
 
 void NocLink::push(NocPacket pkt) {
     REALM_EXPECTS(pkt.vc < vc_.size(), "push into unknown VC of " + name_);
-    REALM_EXPECTS(can_push(pkt.flits, pkt.vc),
+    REALM_EXPECTS(pkt.flits >= 1 && can_push(pkt.flits, pkt.vc),
                   "push into busy/full NoC link " + name_);
     // The worm's tail leaves the sender `flits` cycles after the header;
     // the physical channel is busy until then (shared across VCs).
-    busy_until_ = ctx_->now() + pkt.flits;
+    const sim::Cycle now = ctx_->now();
+    busy_until_ = now + pkt.flits;
+    const sim::Cycle visible = now + fc_.link_latency;
+    VcState& s = vc_[pkt.vc];
+    const std::uint8_t vc = pkt.vc;
     if (!edge_) {
-        commit(Entry{std::move(pkt), ctx_->now()});
-        if (wake_on_push_ != nullptr) {
-            wake_on_push_->wake(ctx_->now() + fc_.link_latency);
-        }
+        add_flits(s, pkt.flits);
+        lanes_.push(std::move(pkt), visible, vc); // wakes the consumer
         return;
     }
-    // Edge mode: stage producer-side, stamped with the staging cycle so
-    // visibility stays exactly N + link_latency however late the barrier
-    // commits it. The registration guard reads producer-owned state only
-    // (`staged_` is appended here and cleared at the barrier) — a
-    // cross-shard consumer's pop may register the link a second time from
-    // its own shard, which is harmless because flush_edge is idempotent.
-    VcState& s = vc_[pkt.vc];
-    ++s.staged_count;
+    // Edge mode: stage producer-side, stamped now, so visibility stays
+    // exactly N + link_latency however late the barrier commits it. The
+    // registration guard reads producer-owned state only — a cross-shard
+    // consumer's pop may register the link a second time from its own
+    // shard, which is harmless because flush_edge is idempotent.
     s.staged_flits += pkt.flits;
-    if (staged_.empty()) { ctx_->note_edge_dirty(*this); }
-    staged_.push_back(Entry{std::move(pkt), ctx_->now()});
+    if (lanes_.stage(std::move(pkt), visible, vc)) { ctx_->note_edge_dirty(*this); }
     // Keep the fast-forward hint honest without touching the (possibly
     // cross-shard) consumer: the component wake fires at the flush.
-    ctx_->note_wake(ctx_->now() + fc_.link_latency);
+    ctx_->note_wake(visible);
 }
 
 NocPacket NocLink::pop(std::uint8_t vc) {
     REALM_EXPECTS(can_pop(vc), "pop from empty NoC link " + name_);
+    NocPacket pkt = lanes_.pop(vc);
     VcState& s = vc_[vc];
-    Entry& e = slot(vc, s.head);
-    NocPacket pkt = std::move(e.pkt);
     REALM_ENSURES(s.flits >= pkt.flits, "NoC link flit underflow");
     s.flits -= pkt.flits;
-    s.head = (s.head + 1) % cap_;
-    --s.count;
     if (edge_ && !pop_dirty_) {
         // The producer's capacity snapshot must learn about this pop at the
         // next edge even if nothing gets pushed meanwhile. Guard on
         // consumer-owned state only (`pop_dirty_` is set here and cleared at
-        // the barrier) — never read `staged_`, which the producer's push may
-        // be appending to on another shard. If the producer registered too,
+        // the barrier) — never read the staging state the producer's push
+        // may be writing on another shard. If the producer registered too,
         // the duplicate flush is a no-op (flush_edge is idempotent).
         pop_dirty_ = true;
         ctx_->note_edge_dirty(*this);
@@ -81,43 +72,28 @@ NocPacket NocLink::pop(std::uint8_t vc) {
 }
 
 // Idempotent within one edge (the link may be registered by both its
-// producer and its consumer shard): the second call sees an empty staging
-// vector and re-takes an unchanged snapshot.
+// producer and its consumer shard): the second call commits nothing and
+// re-takes an unchanged snapshot. The queue wakes the consumer at the
+// earliest stamp it commits, never before: with lookahead batching the
+// barrier runs every `link_latency` cycles, so an entry staged mid-batch
+// matures strictly after this flush.
 void NocLink::flush_edge(sim::Cycle /*now*/) {
-    // The consumer wakes at the earliest cycle any committed entry becomes
-    // poppable (`pushed_at + link_latency`), never before: with lookahead
-    // batching the barrier runs every `link_latency` cycles, so an entry
-    // staged mid-batch matures strictly after this flush. At link_latency 1
-    // this degenerates to the historical wake at the flush cycle itself.
-    sim::Cycle first = sim::kNoCycle;
-    for (Entry& e : staged_) {
-        first = std::min(first, e.pushed_at);
-        commit(std::move(e));
-    }
-    staged_.clear();
+    lanes_.commit();
     for (VcState& s : vc_) {
-        s.staged_count = 0;
+        add_flits(s, s.staged_flits);
         s.staged_flits = 0;
-        s.snap_count = s.count;
         s.snap_flits = s.flits;
     }
     pop_dirty_ = false;
-    if (first != sim::kNoCycle && wake_on_push_ != nullptr) {
-        wake_on_push_->wake(first + fc_.link_latency);
-    }
 }
 
 std::size_t staging_depth(const NocFlowConfig& fc) { return fc.e2e_credits; }
 
-void wire_credit_returns(const sim::SimContext& ctx, axi::AxiChannel& egress,
-                         CreditPool& pool, const NocFlowConfig& fc,
-                         bool deferred) {
-    REALM_EXPECTS(!deferred || fc.credit_return_delay >= 1,
-                  "deferred credit returns require credit_return_delay >= 1");
+void wire_credit_returns(axi::AxiChannel& egress, CreditPool& pool,
+                         const NocFlowConfig& fc) {
     const std::uint32_t data_flits = fc.packet_flits(/*data_carrying=*/true);
     // The policy lives in the pool; the links carry only {trampoline, pool,
     // flit count} — no allocation, no type erasure (see sim::PopHook).
-    pool.configure_return(ctx, fc.credit_return_delay, deferred);
     egress.aw.set_on_pop({&CreditPool::return_hook, &pool, 1});
     egress.ar.set_on_pop({&CreditPool::return_hook, &pool, 1});
     egress.w.set_on_pop({&CreditPool::return_hook, &pool, data_flits});

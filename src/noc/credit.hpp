@@ -45,7 +45,7 @@
 #include "sim/check.hpp"
 #include "sim/context.hpp"
 #include "sim/link.hpp"
-#include "sim/ring.hpp"
+#include "sim/stamped_queue.hpp"
 
 #include <cstdint>
 #include <string>
@@ -100,26 +100,25 @@ struct NocFlowConfig {
 /// One end-to-end credit pool: a counted reservation of `capacity` flits of
 /// buffer space at a receiving NI. `in_flight + available == capacity` is
 /// asserted on every transition, so a leak or double-release trips
-/// immediately instead of showing up as a hung sweep hours later. Credits
-/// released with `release_at` stay in flight (riding the response network)
-/// until their ready cycle; `settle(now)` matures them.
+/// immediately instead of showing up as a hung sweep hours later.
 ///
-/// Cross-shard pools use `stage_release` instead of `release_at`: the
-/// releasing shard appends to a pool-private staging vector (no lock — one
-/// shard releases into any given pool) and the kernel commits the batch at
-/// the cycle edge via `flush_edge`. The taker's `settle`/`take` run on the
-/// consuming shard and never touch the staging storage, so the tick phase
-/// is race-free.
+/// How drained flits come back is the pool's return policy, fixed once by
+/// `configure_return` (the fabric's `CreditBook` does it for every pool):
+/// immediately, or after `delay` cycles riding the response network. A
+/// delayed return waits in a `sim::StampedQueue` stamped with its ready
+/// cycle until `settle(now)` matures it. In an edge-registered pool
+/// (sharded mesh) the returning shard stages the return into that queue,
+/// and the kernel commits it at the cycle edge via `flush_edge`. The
+/// taker's `settle`/`take` run on the consuming shard and never touch
+/// staged state, so the tick phase is race-free.
 class CreditPool : public sim::EdgeFlushable {
 public:
-    explicit CreditPool(std::uint32_t capacity = 0) : capacity_{capacity},
-                                                      available_{capacity} {
-        // Conservation bounds the pending queue: every pending return holds
-        // >= 1 flit and pending_total_ <= in_flight <= capacity, so at most
-        // `capacity` entries ever queue. Reserving that bound here keeps
-        // release_at/settle allocation-free for the lifetime of the pool.
-        pending_.reserve(capacity_);
-    }
+    /// Conservation bounds the pending queue: every pending return holds
+    /// >= 1 flit and pending + staged <= in flight <= capacity, so
+    /// `capacity` entries always suffice and the queue never allocates after
+    /// construction.
+    explicit CreditPool(std::uint32_t capacity = 0)
+        : capacity_{capacity}, available_{capacity}, pending_{capacity} {}
 
     [[nodiscard]] bool can_take(std::uint32_t flits) const noexcept {
         return available_ >= flits;
@@ -128,100 +127,82 @@ public:
         REALM_EXPECTS(can_take(flits), "credit take without available credits");
         available_ -= flits;
     }
-    /// Immediate release (zero return delay): the flits are reusable now.
+    /// Immediate release: the flits are reusable now.
     void release(std::uint32_t flits) {
-        REALM_ENSURES(flits <= in_flight() - pending_total_,
-                      "credit release exceeds in-flight credits");
+        check_returnable(flits);
         available_ += flits;
-        if (waiter_ != nullptr) { wake_waiter(waiter_->now()); }
+        pending_.notify();
     }
-    /// Delayed release: the credits stay in flight until `ready_at`
-    /// (returns ride the response network), then mature on `settle`.
-    void release_at(sim::Cycle ready_at, std::uint32_t flits) {
-        REALM_ENSURES(flits <= in_flight() - pending_total_,
-                      "credit release exceeds in-flight credits");
-        pending_.push_back(Pending{ready_at, flits});
-        pending_total_ += flits;
-        wake_waiter(ready_at);
-    }
-    /// Cross-shard release: staged thread-privately, committed into the
-    /// pending queue at the cycle-edge flush. `ready_at` must be strictly
-    /// past the staging cycle (the mesh forces `credit_return_delay >= 1`),
-    /// so deferring the commit to the barrier is unobservable.
-    void stage_release(sim::Cycle ready_at, std::uint32_t flits) {
-        staged_.push_back(Pending{ready_at, flits});
-    }
-    [[nodiscard]] bool stage_empty() const noexcept { return staged_.empty(); }
-    /// Commits staged releases (kernel barrier; single-threaded — which is
-    /// what makes waking a waiter on another shard safe here).
-    void flush_edge(sim::Cycle /*now*/) override {
-        for (const Pending& p : staged_) {
-            REALM_ENSURES(p.flits <= in_flight() - pending_total_,
-                          "credit release exceeds in-flight credits");
-            pending_.push_back(p);
-            pending_total_ += p.flits;
-            wake_waiter(p.ready_at);
-        }
-        staged_.clear();
-    }
-    /// Matures every pending return whose ready cycle has arrived. Returns
-    /// are queued in release order and delays are uniform, so the queue
-    /// head is always the earliest.
+    /// Matures every pending return whose ready cycle has arrived. Delays
+    /// are uniform per pool and returns queue in release order, so ready
+    /// cycles are monotone and the head is always the earliest.
     void settle(sim::Cycle now) {
-        while (!pending_.empty() && pending_.front().ready_at <= now) {
-            available_ += pending_.front().flits;
-            pending_total_ -= pending_.front().flits;
-            pending_.pop_front();
+        while (pending_.can_pop(now)) {
+            const std::uint32_t flits = pending_.pop();
+            available_ += flits;
+            pending_total_ -= flits;
         }
     }
 
-    /// \name Credit wait (activity-aware kernel)
+    /// \name Return policy (the drain hook of the staging links)
     ///@{
-    /// Registers `taker` — the NI component whose head worm found too few
-    /// credits here — as the pool's waiter, and returns the ready cycle of
-    /// the earliest committed pending return (`kNoCycle` when none is
-    /// pending): no `settle` before it can raise `available()`. A return
-    /// committed later wakes the waiter at its ready cycle — in `release`,
-    /// `release_at`, or the barrier's `flush_edge` for deferred returns —
-    /// once, after which the taker re-registers if it is still short. One
-    /// NI takes from any pool, so a single slot suffices.
-    [[nodiscard]] sim::Cycle wait_for_credits(sim::Component& taker) noexcept {
-        waiter_ = &taker;
-        return pending_.empty() ? sim::kNoCycle : pending_.front().ready_at;
-    }
-    ///@}
-
-    /// \name Typed credit-return policy (the drain hook of the staging links)
-    ///@{
-    /// Fixes how drained staging flits come back to this pool: immediately
-    /// (`delay == 0`), after `delay` cycles on the response network, or —
-    /// with `deferred` (mesh fabrics) — staged and committed at the
-    /// cycle-edge barrier so the hook is safe to fire from any shard.
-    /// Stored in the pool itself so the links' pop hooks need no captured
-    /// state (see `sim::PopHook`); `ctx` must outlive the pool.
+    /// Fixes how returned flits come back to this pool: immediately
+    /// (`delay == 0`), or after `delay` cycles on the response network —
+    /// staged for the cycle-edge commit when `edge_registered` (mesh
+    /// fabrics, whose returning and taking NIs may tick on different
+    /// shards; requires `delay >= 1`). `ctx` must outlive the pool.
     void configure_return(const sim::SimContext& ctx, std::uint32_t delay,
-                          bool deferred) noexcept {
+                          bool edge_registered) {
+        REALM_EXPECTS(!edge_registered || delay >= 1,
+                      "edge-registered credit returns need a delay >= 1");
         return_ctx_ = &ctx;
         return_delay_ = delay;
-        return_deferred_ = deferred;
+        return_edge_ = edge_registered;
     }
     /// Returns `flits` credits under the configured policy.
     void return_credits(std::uint32_t flits) {
         REALM_EXPECTS(return_ctx_ != nullptr,
                       "credit return without a configured policy");
-        if (return_deferred_) {
-            if (staged_.empty()) { return_ctx_->note_edge_dirty(*this); }
-            stage_release(return_ctx_->now() + return_delay_, flits);
-        } else if (return_delay_ == 0) {
+        if (return_delay_ == 0) {
             release(flits);
-        } else {
-            release_at(return_ctx_->now() + return_delay_, flits);
+            return;
         }
+        const sim::Cycle ready_at = return_ctx_->now() + return_delay_;
+        if (return_edge_) {
+            staged_total_ += flits;
+            if (pending_.stage(flits, ready_at)) { return_ctx_->note_edge_dirty(*this); }
+            return;
+        }
+        check_returnable(flits);
+        pending_.push(flits, ready_at);
+        pending_total_ += flits;
     }
     /// `sim::PopHook`-shaped trampoline: `user` is the pool, `arg` the flit
     /// count of the drained packet.
     static void return_hook(void* pool, std::uint32_t flits) {
         static_cast<CreditPool*>(pool)->return_credits(flits);
+    }
+    /// Commits staged returns (kernel barrier; single-threaded — which is
+    /// what makes waking a taker on another shard safe here).
+    void flush_edge(sim::Cycle /*now*/) override {
+        check_returnable(staged_total_);
+        pending_total_ += staged_total_;
+        staged_total_ = 0;
+        pending_.commit();
+    }
+    ///@}
+
+    /// \name Credit wait (activity-aware kernel)
+    ///@{
+    /// Registers `taker` — the NI component whose head worm found too few
+    /// credits here — to be woken once by the next return, and returns the
+    /// ready cycle of the earliest committed pending return (`kNoCycle`
+    /// when none is pending): no `settle` before it can raise `available()`.
+    /// A return committed later wakes the taker at its ready cycle (an
+    /// immediate one at once), after which the taker re-registers if it is
+    /// still short. One NI takes from any pool, so a single slot suffices.
+    [[nodiscard]] sim::Cycle wait_for_credits(sim::Component& taker) noexcept {
+        return pending_.wait(taker);
     }
     ///@}
 
@@ -250,34 +231,28 @@ public:
     }
 
 private:
-    struct Pending {
-        sim::Cycle ready_at = 0;
-        std::uint32_t flits = 0;
-    };
-
-    void wake_waiter(sim::Cycle at) noexcept {
-        if (waiter_ == nullptr) { return; }
-        waiter_->wake(at);
-        waiter_ = nullptr;
+    /// A return may only hand back credits held by worms: in flight minus
+    /// what is already on its way back.
+    void check_returnable(std::uint32_t flits) const {
+        REALM_ENSURES(flits <= in_flight() - pending_total_,
+                      "credit release exceeds in-flight credits");
     }
 
     std::uint32_t capacity_ = 0;
     std::uint32_t available_ = 0;
     std::uint32_t pending_total_ = 0;
-    /// Queued returns in one contiguous block, reserved to the conservation
-    /// bound at construction (replaces a `std::deque` and its 512-byte
-    /// chunk allocations on the settle hot path).
-    sim::FlatRing<Pending> pending_;
-    std::vector<Pending> staged_; ///< cross-shard releases awaiting the edge
-    /// Taker asleep on this pool (see `wait_for_credits`); written by the
-    /// taker's tick and by commits, which never run concurrently: deferred
-    /// (sharded mesh) pools commit at the barrier, and the immediate ones
-    /// belong to unsharded fabrics.
-    sim::Component* waiter_ = nullptr;
-    /// Return policy (see `configure_return`); unset until wired.
+    /// Flits staged since the last edge (returning shard only).
+    std::uint32_t staged_total_ = 0;
+    /// Pending returns, stamped with their ready cycle. Its consumer is the
+    /// taker asleep on this pool (see `wait_for_credits`), registered by the
+    /// taker's tick and woken by returns, which never run concurrently:
+    /// edge-registered pools commit at the barrier, and the others belong
+    /// to unsharded fabrics.
+    sim::StampedQueue<std::uint32_t> pending_;
+    /// Return policy (see `configure_return`); unset until configured.
     const sim::SimContext* return_ctx_ = nullptr;
     std::uint32_t return_delay_ = 0;
-    bool return_deferred_ = false;
+    bool return_edge_ = false;
 };
 
 /// Every end-to-end pool of one fabric: request pools indexed by
@@ -286,10 +261,15 @@ private:
 /// request/response protocol split stays deadlock-free under credit
 /// exhaustion.
 ///
+/// The book fixes the fabric's credit-return policy: every pool it
+/// materializes returns credits after `fc.credit_return_delay` cycles,
+/// staged for the cycle edge when `edge_registered` (see
+/// `CreditPool::configure_return`).
+///
 /// Pools materialize lazily: a 32x32 mesh would otherwise eagerly build
 /// 2 x 1024^2 pools, of which the role map ever touches a few thousand
 /// (managers x memories). `unordered_map` is node-based, so references
-/// handed to the credit-return closures stay valid forever.
+/// handed to the staging links' drain hooks stay valid forever.
 ///
 /// Sharded fabrics must `freeze()` the book after materializing every pool
 /// their tick phase can touch (the mesh constructor touches req pools via
@@ -299,8 +279,10 @@ private:
 /// materialized asserts instead of inserting.
 class CreditBook {
 public:
-    CreditBook(NodeId num_nodes, const NocFlowConfig& fc)
-        : n_{num_nodes}, credits_{fc.e2e_credits} {}
+    CreditBook(const sim::SimContext& ctx, NodeId num_nodes, const NocFlowConfig& fc,
+               bool edge_registered)
+        : ctx_{&ctx}, n_{num_nodes}, credits_{fc.e2e_credits},
+          return_delay_{fc.credit_return_delay}, edge_{edge_registered} {}
 
     [[nodiscard]] CreditPool& req(NodeId dest, NodeId src) const {
         return pool(req_, dest, src);
@@ -343,11 +325,16 @@ private:
                           "materialized during construction");
             return it->second;
         }
-        return m.try_emplace(key, credits_).first->second;
+        const auto [it, inserted] = m.try_emplace(key, credits_);
+        if (inserted) { it->second.configure_return(*ctx_, return_delay_, edge_); }
+        return it->second;
     }
 
+    const sim::SimContext* ctx_;
     NodeId n_;
     std::uint32_t credits_;
+    std::uint32_t return_delay_;
+    bool edge_;
     bool frozen_ = false;
     /// Mutable: materializing an untouched pool is unobservable (it is
     /// born full), so const callers may trigger it.
@@ -365,47 +352,43 @@ private:
 /// space another class waits on — the O1TURN deadlock-freedom requirement
 /// (see noc/routing.hpp).
 ///
-/// Storage: one contiguous backing array of (packet, push cycle) slots for
-/// all VCs of the link — `vc_depth` slots per VC, addressed as per-VC ring
-/// buffers — replacing the former per-VC heap-allocated queues. The whole
-/// in-flight state of a router port is one cache-friendly block.
+/// Storage: the VCs are the lanes of one `sim::StampedQueue` — `vc_depth`
+/// slots per VC in one block allocated at construction, every packet
+/// stamped with the cycle it becomes poppable (push cycle + link_latency).
+/// The whole in-flight state of a router port is one cache-friendly block;
+/// the link itself keeps only the serialization window and the per-VC flit
+/// counts.
 ///
 /// Modes:
 ///  - **Immediate** (default; ring fabric, standalone links): `push`
-///    commits into the ring at once. Capacity checks see pops the moment
+///    commits into the queue at once. Capacity checks see pops the moment
 ///    they happen — including same-cycle pops by consumers that ticked
 ///    earlier, which is why immediate links must never cross shards.
 ///  - **Edge-registered** (`edge_registered = true`; every mesh link):
-///    `push` stages producer-side, the kernel commits at the cycle-edge
-///    barrier (`flush_edge`), and the producer's capacity view is a
-///    snapshot refreshed at the same barrier. Pushes are stamped with the
-///    staging cycle, so visibility (at N + link_latency) is exactly the
-///    pipelined registered contract; what changes is that a pop at cycle N
-///    frees sender-visible space at the next barrier instead of
-///    same-cycle — deterministic and order-independent, hence safe under
-///    any shard layout (the flit exchange of the sharded kernel), at the
-///    cost of a barrier period of capacity-return latency.
+///    `push` stages into the queue, the kernel commits at the cycle-edge
+///    barrier (`flush_edge`), and the producer's capacity view is a flit
+///    snapshot refreshed at the same barrier plus its own staged flits.
+///    The stamp is taken at staging, so visibility (at N + link_latency)
+///    is exactly the pipelined registered contract however late the
+///    barrier commits; what changes is that a pop at cycle N frees
+///    sender-visible space at the next barrier instead of same-cycle —
+///    deterministic and order-independent, hence safe under any shard
+///    layout (the flit exchange of the sharded kernel), at the cost of a
+///    barrier period of capacity-return latency.
 class NocLink : public sim::EdgeFlushable {
 public:
     NocLink(const sim::SimContext& ctx, std::string name, const NocFlowConfig& fc,
             std::uint8_t num_vcs = 1, bool edge_registered = false)
         : ctx_{&ctx}, fc_{fc}, name_{std::move(name)}, edge_{edge_registered},
-          cap_{fc.vc_depth} {
-        REALM_EXPECTS(num_vcs >= 1, "a NoC link needs at least one VC");
-        vc_.resize(num_vcs);
-        slots_.resize(static_cast<std::size_t>(num_vcs) * cap_);
-    }
+          lanes_{fc.vc_depth, num_vcs}, vc_(num_vcs) {}
 
-    /// True when a packet of `flits` flits may start transmission on VC
-    /// `vc` this cycle: the physical channel is not serializing an earlier
-    /// worm and that VC holds enough free flit slots at the receiver (in
-    /// edge mode, as of the last cycle edge).
+    /// True when a packet of `flits` (>= 1) flits may start transmission on
+    /// VC `vc` this cycle: the physical channel is not serializing an
+    /// earlier worm and that VC holds enough free flit slots at the
+    /// receiver (in edge mode, as of the last cycle edge). Every packet
+    /// holds at least one flit, so the flit bound also bounds the packets.
     [[nodiscard]] bool can_push(std::uint32_t flits, std::uint8_t vc = 0) const {
-        const VcState& s = vc_.at(vc);
-        const std::uint32_t pkts = edge_ ? s.snap_count + s.staged_count : s.count;
-        const std::uint32_t occ = edge_ ? s.snap_flits + s.staged_flits : s.flits;
-        return ctx_->now() >= busy_until_ && pkts < cap_ &&
-               occ + flits <= fc_.vc_depth;
+        return ctx_->now() >= busy_until_ && buffered_flits(vc) + flits <= fc_.vc_depth;
     }
     [[nodiscard]] bool can_push(const NocPacket& pkt) const {
         return can_push(pkt.flits, pkt.vc);
@@ -414,28 +397,22 @@ public:
     void push(NocPacket pkt);
 
     [[nodiscard]] bool can_pop(std::uint8_t vc = 0) const {
-        const VcState& s = vc_.at(vc);
-        return s.count > 0 &&
-               slot(vc, s.head).pushed_at + fc_.link_latency <= ctx_->now();
+        return lanes_.can_pop(ctx_->now(), vc);
     }
     [[nodiscard]] const NocPacket& front(std::uint8_t vc = 0) const {
         REALM_EXPECTS(can_pop(vc), "front of empty NoC link " + name_);
-        return slot(vc, vc_.at(vc).head).pkt;
+        return lanes_.front(vc);
     }
     NocPacket pop(std::uint8_t vc = 0);
 
     /// Consumer view: no committed packets on any VC (staged pushes are
     /// covered by the flush-time wake, so a consumer may sleep on this).
-    [[nodiscard]] bool empty() const noexcept {
-        for (const VcState& s : vc_) {
-            if (s.count > 0) { return false; }
-        }
-        return true;
-    }
-    void set_wake_on_push(sim::Component* c) noexcept { wake_on_push_ = c; }
+    [[nodiscard]] bool empty() const noexcept { return lanes_.empty(); }
+    void set_wake_on_push(sim::Component* c) noexcept { lanes_.set_consumer(c); }
 
-    /// Commits staged pushes into the rings and refreshes the producer's
-    /// capacity snapshot (kernel barrier; single-threaded).
+    /// Commits staged pushes (waking the consumer at the earliest cycle one
+    /// becomes poppable) and refreshes the producer's capacity snapshot
+    /// (kernel barrier; single-threaded).
     void flush_edge(sim::Cycle now) override;
 
     /// \name Introspection (routing adaptivity, tests, benches)
@@ -468,47 +445,29 @@ public:
     }
 
 private:
-    struct Entry {
-        NocPacket pkt;
-        sim::Cycle pushed_at = 0;
-    };
-    /// Per-VC ring state over the shared backing array. `count`/`flits` are
-    /// live (consumer + flush); `snap_*` is the producer's edge snapshot;
-    /// `staged_*` counts the producer's uncommitted pushes.
+    /// Per-VC flit counts. `flits` is live (consumer + flush); `snap_flits`
+    /// is the producer's edge snapshot; `staged_flits` counts the
+    /// producer's uncommitted pushes.
     struct VcState {
-        std::uint32_t head = 0;
-        std::uint32_t count = 0;
         std::uint32_t flits = 0;
         std::uint32_t peak = 0;
-        std::uint32_t snap_count = 0;
         std::uint32_t snap_flits = 0;
-        std::uint32_t staged_count = 0;
         std::uint32_t staged_flits = 0;
     };
 
-    [[nodiscard]] Entry& slot(std::uint8_t vc, std::uint32_t pos) {
-        return slots_[static_cast<std::size_t>(vc) * cap_ + pos % cap_];
-    }
-    [[nodiscard]] const Entry& slot(std::uint8_t vc, std::uint32_t pos) const {
-        return slots_[static_cast<std::size_t>(vc) * cap_ + pos % cap_];
-    }
-    void commit(Entry e); ///< inserts one entry into its VC ring
+    /// Adds committed flits to a VC, asserting its depth.
+    void add_flits(VcState& s, std::uint32_t flits);
 
     const sim::SimContext* ctx_;
     NocFlowConfig fc_;
     std::string name_;
     bool edge_;
-    std::uint32_t cap_; ///< ring slots per VC (== vc_depth packets)
-    std::vector<Entry> slots_;
-    std::vector<VcState> vc_;
-    /// Edge mode: pushes awaiting the barrier. Producer-owned during the
-    /// tick phase (cleared at the barrier); the consumer must never read it.
-    std::vector<Entry> staged_;
     /// Edge mode: pops since the last flush. Consumer-owned during the tick
     /// phase (cleared at the barrier); the producer must never read it.
     bool pop_dirty_ = false;
     sim::Cycle busy_until_ = 0;
-    sim::Component* wake_on_push_ = nullptr;
+    sim::StampedQueue<NocPacket> lanes_; ///< one lane per VC
+    std::vector<VcState> vc_;
 };
 
 /// \name Staging helpers shared by the ring and mesh assemblies
@@ -518,14 +477,10 @@ private:
 [[nodiscard]] std::size_t staging_depth(const NocFlowConfig& fc);
 
 /// Wires the end-to-end credit returns of one per-source staging channel:
-/// the pool's flits come back as the egress mux drains the lanes — after
-/// `credit_return_delay` cycles on the response network when configured.
-/// With `deferred` (mesh fabrics), returns are staged into the pool and
-/// committed at the cycle-edge barrier so they are safe to fire from any
-/// shard; requires `credit_return_delay >= 1`.
-void wire_credit_returns(const sim::SimContext& ctx, axi::AxiChannel& egress,
-                         CreditPool& pool, const NocFlowConfig& fc,
-                         bool deferred = false);
+/// the pool's flits come back, under the pool's return policy, as the
+/// egress mux drains the lanes.
+void wire_credit_returns(axi::AxiChannel& egress, CreditPool& pool,
+                         const NocFlowConfig& fc);
 
 /// Flits currently staged in one per-source egress channel's request lanes,
 /// weighted by worm length (a staged W beat holds its whole worm's buffer

@@ -17,7 +17,7 @@ MeshRouter::MeshRouter(sim::SimContext& ctx, std::string name, NodeId node_id,
                        axi::AxiChannel* local_mgr,
                        std::vector<axi::AxiChannel*> egress, Ports ports,
                        const NocFlowConfig& fc, CreditBook* book,
-                       RoutingPolicy routing, bool deferred_credits)
+                       RoutingPolicy routing)
     : Component{ctx, std::move(name)},
       id_{node_id},
       cols_{cols},
@@ -27,7 +27,7 @@ MeshRouter::MeshRouter(sim::SimContext& ctx, std::string name, NodeId node_id,
       ports_{ports},
       routing_{routing},
       num_vcs_{route_num_vcs(routing)},
-      ni_{ctx, this->name(), num_nodes, fc, book, routing, deferred_credits} {
+      ni_{ctx, this->name(), num_nodes, fc, book, routing} {
     // Activity-aware kernel wiring: every neighbor link feeding this router
     // has exactly one consumer (this router), so claiming the push hooks is
     // safe; the local manager and egress channels follow the ring-NI scheme.
@@ -239,7 +239,7 @@ NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
     REALM_EXPECTS(n32 <= 65535, "node ids are 16-bit");
     // The mesh always runs the shard-safe transport — edge-registered
     // neighbor links and cycle-edge credit returns — so its behaviour never
-    // depends on the shard count (including 1). Deferred returns need at
+    // depends on the shard count (including 1). Edge-staged returns need at
     // least one cycle of return latency; with a pipelined fabric
     // (link_latency > 1) they need the full link latency, so every
     // cross-shard channel — flit links *and* credit returns — carries the
@@ -263,7 +263,7 @@ NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
     for (const NodeId s : subordinate_nodes) {
         REALM_EXPECTS(s < n, "subordinate node out of range");
     }
-    book_ = std::make_unique<CreditBook>(n, flow_);
+    book_ = std::make_unique<CreditBook>(ctx, n, flow_, /*edge_registered=*/true);
 
     // Channels and links first (plain objects, no tick order concerns).
     // The routing policy fixes the per-link VC count (O1TURN needs one VC
@@ -309,8 +309,7 @@ NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
             egress_[s].push_back(std::make_unique<axi::AxiChannel>(
                 ctx, name + ".eg" + std::to_string(s) + "_" + std::to_string(src),
                 staging_depth(flow_)));
-            wire_credit_returns(ctx, *egress_[s].back(), book_->req(s, src), flow_,
-                                /*deferred=*/true);
+            wire_credit_returns(*egress_[s].back(), book_->req(s, src), flow_);
             egress_raw.push_back(egress_[s].back().get());
         }
         sub_index_[s] = static_cast<int>(sub_ports_.size());
@@ -367,7 +366,7 @@ NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
         routers_.push_back(std::make_unique<MeshRouter>(
             ctx, name + ".r" + std::to_string(i), i, cols, n, node_map,
             mgr_ports_[i].get(), std::move(egress_raw), p, flow_, book_.get(),
-            routing_, /*deferred_credits=*/true));
+            routing_));
     }
 }
 

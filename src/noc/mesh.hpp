@@ -62,16 +62,12 @@ public:
         std::array<NocLink*, kMeshDirs> rsp_out{};
     };
 
-    /// \param deferred_credits  Stage credit releases for the cycle-edge
-    ///        flush (required under spatial sharding; `NocMesh` always
-    ///        passes true so behaviour never depends on the shard count).
     MeshRouter(sim::SimContext& ctx, std::string name, NodeId node_id,
                NodeId cols, NodeId num_nodes, ic::AddrMap map,
                axi::AxiChannel* local_mgr,
                std::vector<axi::AxiChannel*> egress, Ports ports,
                const NocFlowConfig& fc, CreditBook* book,
-               RoutingPolicy routing = RoutingPolicy::kXY,
-               bool deferred_credits = false);
+               RoutingPolicy routing = RoutingPolicy::kXY);
 
     void reset() override;
     void tick() override;

@@ -79,23 +79,6 @@ bool NocNi::try_eject_request(const NocPacket& pkt,
     return true;
 }
 
-void NocNi::release_response_credits(const NocPacket& pkt) {
-    // The response credits stay in flight until the delivery into the
-    // manager channel actually happens (which may lag the arrival when the
-    // packet sat in the reorder stash).
-    CreditPool& pool = book_->rsp(pkt.dest, pkt.src);
-    if (deferred_credits_) {
-        // The pool's taker (the subordinate NI at pkt.src) may tick on a
-        // different shard: stage the return for the cycle-edge flush.
-        if (pool.stage_empty()) { ctx_->note_edge_dirty(pool); }
-        pool.stage_release(ctx_->now() + fc_.credit_return_delay, pkt.flits);
-    } else if (fc_.credit_return_delay == 0) {
-        pool.release(pkt.flits);
-    } else {
-        pool.release_at(ctx_->now() + fc_.credit_return_delay, pkt.flits);
-    }
-}
-
 bool NocNi::deliver_response(const NocPacket& pkt, axi::AxiChannel& mgr) {
     if (const auto* b = std::get_if<axi::BFlit>(&pkt.flit)) {
         if (!mgr.b.can_push()) { return false; }
@@ -116,7 +99,10 @@ bool NocNi::deliver_response(const NocPacket& pkt, axi::AxiChannel& mgr) {
         }
         mgr.r.push(*r);
     }
-    release_response_credits(pkt);
+    // The response credits stay in flight until the delivery into the
+    // manager channel actually happens (which may lag the arrival when the
+    // packet sat in the reorder stash).
+    book_->rsp(pkt.dest, pkt.src).return_credits(pkt.flits);
     return true;
 }
 

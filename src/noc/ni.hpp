@@ -64,22 +64,15 @@ public:
     /// \param routing    Routing policy of the fabric — the NI assigns each
     ///                   worm's route class / VC at injection (kXY for the
     ///                   ring and every other single-path fabric).
-    /// \param deferred_credits  Stage credit releases for the cycle-edge
-    ///                   flush instead of releasing inline — required when
-    ///                   the fabric is spatially sharded (mesh), where the
-    ///                   released pool's taker may live on another shard.
     NocNi(const sim::SimContext& ctx, std::string owner, NodeId num_nodes,
           const NocFlowConfig& fc, CreditBook* book,
-          RoutingPolicy routing = RoutingPolicy::kXY,
-          bool deferred_credits = false)
+          RoutingPolicy routing = RoutingPolicy::kXY)
         : ctx_{&ctx}, owner_{std::move(owner)}, fc_{fc}, book_{book},
-          routing_{routing}, deferred_credits_{deferred_credits},
+          routing_{routing},
           req_seq_(num_nodes, 0), rsp_seq_(num_nodes, 0),
           req_reorder_{std::vector<std::uint16_t>(num_nodes, 0), {}},
           rsp_reorder_{std::vector<std::uint16_t>(num_nodes, 0), {}} {
         REALM_EXPECTS(book_ != nullptr, owner_ + ": NoC NI needs a credit book");
-        REALM_EXPECTS(!deferred_credits_ || fc_.credit_return_delay >= 1,
-                      owner_ + ": deferred credit returns need delay >= 1");
     }
 
     void reset();
@@ -380,10 +373,6 @@ private:
     /// Delivers one in-order response packet to the local manager; returns
     /// false on manager-channel backpressure.
     bool deliver_response(const NocPacket& pkt, axi::AxiChannel& mgr);
-    /// Returns the response's end-to-end credits (staged for the edge
-    /// flush when the fabric is sharded).
-    void release_response_credits(const NocPacket& pkt);
-
     /// Keeps `rsp_stash_srcs_` (the sorted list of sources with stashed
     /// responses) in sync after a stash mutation for `src`.
     void update_rsp_stash_index(NodeId src);
@@ -440,7 +429,6 @@ private:
     NocFlowConfig fc_;
     CreditBook* book_; ///< fabric-owned end-to-end pools
     RoutingPolicy routing_;
-    bool deferred_credits_;
 
     /// Ingress W routing: dest node per accepted AW, in order.
     std::deque<NodeId> w_dest_;

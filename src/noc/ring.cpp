@@ -16,7 +16,7 @@ NocRing::NocRing(sim::SimContext& ctx, std::string name, NodeId num_nodes,
     for (const NodeId s : subordinate_nodes) {
         REALM_EXPECTS(s < num_nodes, "subordinate node out of range");
     }
-    book_ = std::make_unique<CreditBook>(num_nodes, flow_);
+    book_ = std::make_unique<CreditBook>(ctx, num_nodes, flow_, /*edge_registered=*/false);
 
     // Channels and links first (plain objects, no tick order concerns).
     for (NodeId i = 0; i < num_nodes; ++i) {
@@ -34,8 +34,7 @@ NocRing::NocRing(sim::SimContext& ctx, std::string name, NodeId num_nodes,
             egress_[s].push_back(std::make_unique<axi::AxiChannel>(
                 ctx, name + ".eg" + std::to_string(s) + "_" + std::to_string(src),
                 staging_depth(flow_)));
-            wire_credit_returns(ctx, *egress_[s].back(), book_->req(s, src),
-                                flow_);
+            wire_credit_returns(*egress_[s].back(), book_->req(s, src), flow_);
             egress_raw.push_back(egress_[s].back().get());
         }
         sub_index_[s] = static_cast<int>(sub_ports_.size());

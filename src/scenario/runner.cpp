@@ -128,14 +128,15 @@ void write_value(std::ostream& os, std::uint64_t v) { os << v; }
 void write_value(std::ostream& os, unsigned v) { os << v; }
 void write_value(std::ostream& os, bool v) { os << (v ? "true" : "false"); }
 
+/// Shortest round-trip form: the reader gets back the same double, so a
+/// resumed point is bit-identical to the fresh run it was dumped from.
 void write_value(std::ostream& os, double v) {
     if (!std::isfinite(v)) {
         os << "null";
         return;
     }
     char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    os << buf;
+    os.write(buf, std::to_chars(buf, buf + sizeof buf, v).ptr - buf);
 }
 
 void write_value(std::ostream& os, const std::string& s) {

@@ -267,8 +267,9 @@ class ConfigDigest {
 public:
     /// v8: pipelined links (`link_latency`) on the NoC fabrics. v9: the
     /// dump carries the M&R fields, so older dumps (which read them back
-    /// as 0) are never reused.
-    static constexpr std::uint64_t kVersion = 9;
+    /// as 0) are never reused. v10: doubles are dumped in shortest
+    /// round-trip form, so dumps rounded to 6 digits are never reused.
+    static constexpr std::uint64_t kVersion = 10;
 
     ConfigDigest() { mix(kVersion); }
 

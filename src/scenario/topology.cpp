@@ -346,7 +346,7 @@ public:
     // The mesh guarantees `link_latency` cycles on every cross-shard path:
     // neighbor links pipeline flits and wakes by exactly that much, and the
     // fabric forces `credit_return_delay >= link_latency` (see NocMesh), so
-    // deferred end-to-end credit releases mature no earlier either.
+    // edge-staged end-to-end credit returns mature no earlier either.
     [[nodiscard]] sim::Cycle lookahead() const override { return lookahead_; }
 
 private:

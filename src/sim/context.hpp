@@ -29,9 +29,9 @@ enum class Scheduler {
 /// Cross-shard work staged during a cycle and applied at the cycle edge.
 ///
 /// Objects that carry state between shards (cross-stripe `NocLink`s, credit
-/// pools) buffer their producer-side writes in shard-private staging storage
-/// during the parallel tick phase and register themselves dirty with the
-/// context; after all shards finish the cycle, the kernel calls
+/// pools) stage their producer-side writes where the consumer cannot see
+/// them during the parallel tick phase and register themselves dirty with
+/// the context; after all shards finish the cycle, the kernel calls
 /// `flush_edge(now)` on every dirty object from a single thread, in
 /// deterministic (shard-major, registration) order. Because every staged
 /// effect only becomes observable at cycle N+1 — the registered-`Link`
@@ -49,9 +49,11 @@ public:
     /// effects must carry their own visible-cycle stamps — an effect staged
     /// at cycle N matures at N + L for a channel latency L >= k, which is
     /// at or after this flush, never before (the conservative-lookahead
-    /// safety argument). `NocLink` stamps entries with their staging cycle
-    /// and exposes them once `stamp + link_latency <= now`; `CreditPool`
-    /// stages releases with an explicit ready cycle. With the default
+    /// safety argument). Both staged channels are `sim::StampedQueue`s
+    /// whose entries carry their visible cycle — staging cycle +
+    /// link_latency for a `NocLink` packet, the ready cycle for a
+    /// `CreditPool` return — and the flush commits them and wakes the
+    /// consumer at the earliest committed stamp. With the default
     /// lookahead of 1 this is the historical per-cycle edge flush.
     virtual void flush_edge(Cycle now) = 0;
 

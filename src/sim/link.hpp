@@ -6,7 +6,6 @@
 #include "sim/check.hpp"
 #include "sim/component.hpp"
 #include "sim/context.hpp"
-#include "sim/ring.hpp"
 #include "sim/types.hpp"
 
 #include <array>
@@ -212,54 +211,6 @@ private:
     std::array<T, kInlineCapacity> inline_{};
     std::unique_ptr<T[]> heap_;
     std::string name_;
-};
-
-/// FIFO whose entries become poppable at an arbitrary future cycle; completion
-/// stays in push order (the head blocks younger entries). Used to model
-/// fixed/variable-latency service pipelines, e.g. SRAM access or DRAM banks.
-/// Backed by a contiguous `FlatRing` (entries keep their individual ready
-/// stamps — unlike `Link`, readiness here is not monotone with push order).
-template <typename T>
-class TimedQueue {
-public:
-    explicit TimedQueue(const SimContext& ctx, std::string name = {})
-        : ctx_{&ctx}, name_{std::move(name)} {}
-
-    /// Enqueues `value`, poppable no earlier than `ready_at`.
-    void push(T value, Cycle ready_at) {
-        entries_.push_back(Entry{std::move(value), ready_at});
-    }
-
-    [[nodiscard]] bool can_pop() const noexcept {
-        return !entries_.empty() && entries_.front().ready_at <= ctx_->now();
-    }
-
-    [[nodiscard]] const T& front() const {
-        REALM_EXPECTS(can_pop(), "front of not-ready timed queue " + name_);
-        return entries_.front().value;
-    }
-
-    T pop() {
-        REALM_EXPECTS(can_pop(), "pop from not-ready timed queue " + name_);
-        T v = std::move(entries_.front().value);
-        entries_.pop_front();
-        return v;
-    }
-
-    void clear() noexcept { entries_.clear(); }
-
-    [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-    [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
-
-private:
-    struct Entry {
-        T value;
-        Cycle ready_at;
-    };
-
-    const SimContext* ctx_;
-    std::string name_;
-    FlatRing<Entry> entries_;
 };
 
 } // namespace realm::sim

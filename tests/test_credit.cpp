@@ -80,12 +80,14 @@ TEST(NocFlowConfig, ValidationRejectsUnderSizedBuffers) {
 }
 
 TEST(CreditPool, DelayedReturnsRideTheResponseNetwork) {
-    // release_at keeps the credits in flight until the ready cycle:
+    // A delayed return keeps the credits in flight until its ready cycle:
     // conservation holds through the whole pending window, and settle
     // matures exactly the returns whose cycle has arrived.
+    sim::SimContext ctx;
     CreditPool pool{8};
+    pool.configure_return(ctx, /*delay=*/10, /*edge_registered=*/false);
     pool.take(6);
-    pool.release_at(/*ready_at=*/10, 4);
+    pool.return_credits(4); // ready at cycle 10
     EXPECT_EQ(pool.available(), 2U);
     EXPECT_EQ(pool.in_flight(), 6U) << "pending returns still count in flight";
     EXPECT_EQ(pool.pending_returns(), 4U);
@@ -100,8 +102,50 @@ TEST(CreditPool, DelayedReturnsRideTheResponseNetwork) {
 
     // Releasing more than the worm-held share (in flight minus pending) is
     // a leak and trips the contract.
-    pool.release_at(20, 2);
+    pool.return_credits(2);
     EXPECT_THROW(pool.release(1), sim::ContractViolation);
+}
+
+TEST(CreditPool, ZeroDelayReturnsAreReusableAtOnce) {
+    // No settle in between: a delay-0 return must free the credits inline.
+    sim::SimContext ctx;
+    CreditPool pool{4};
+    pool.configure_return(ctx, 0, false);
+    pool.take(4);
+    pool.return_credits(4);
+    EXPECT_TRUE(pool.can_take(4));
+    EXPECT_THROW(pool.configure_return(ctx, 0, /*edge_registered=*/true),
+                 sim::ContractViolation)
+        << "an edge-registered return needs at least one cycle of delay";
+}
+
+TEST(CreditPool, EdgeRegisteredReturnsCommitAtTheEdge) {
+    // A staged return is invisible to the taker until the kernel's edge
+    // flush commits it; a second flush in the same edge changes nothing.
+    sim::SimContext ctx;
+    CreditPool pool{8};
+    pool.configure_return(ctx, /*delay=*/2, /*edge_registered=*/true);
+    pool.take(8);
+    pool.return_credits(4); // staged at cycle 0, ready at cycle 2
+    EXPECT_EQ(pool.pending_returns(), 0U) << "staged, not yet committed";
+    pool.settle(5);
+    EXPECT_EQ(pool.available(), 0U) << "settle never sees staged returns";
+    pool.flush_edge(ctx.now());
+    pool.flush_edge(ctx.now());
+    EXPECT_EQ(pool.pending_returns(), 4U);
+    pool.check_conserved();
+    pool.settle(1);
+    EXPECT_EQ(pool.available(), 0U);
+    pool.settle(2);
+    EXPECT_EQ(pool.available(), 4U);
+    pool.check_conserved();
+    // Staging through the kernel: the step's edge flush commits it.
+    pool.return_credits(4);
+    ctx.step();
+    EXPECT_EQ(pool.pending_returns(), 4U);
+    pool.settle(ctx.now() + 1);
+    EXPECT_EQ(pool.available(), 8U);
+    pool.check_conserved();
 }
 
 // --- NocLink -----------------------------------------------------------------
@@ -183,6 +227,45 @@ TEST(NocLink, VirtualChannelsHavePrivateBuffersAndASharedChannel) {
     (void)link.pop(1);
     EXPECT_EQ(link.buffered_flits(1), 0U);
     EXPECT_EQ(link.buffered_flits(0), 4U);
+}
+
+TEST(NocLink, EdgeModeCommitsAtTheFlushAndRefreshesTheProducerView) {
+    sim::SimContext ctx;
+    NocFlowConfig fc;
+    fc.vc_depth = 4;
+    fc.link_latency = 3;
+    NocLink link{ctx, "edge", fc, /*num_vcs=*/1, /*edge_registered=*/true};
+
+    link.push(worm_of(4)); // staged at cycle 0, poppable from cycle 3
+    EXPECT_TRUE(link.empty()) << "a staged packet is invisible before the flush";
+    EXPECT_FALSE(link.can_pop());
+    EXPECT_EQ(link.buffered_flits(), 4U) << "the producer counts its own staging";
+    link.flush_edge(ctx.now());
+    link.flush_edge(ctx.now()); // a second flush in the same edge is a no-op
+    EXPECT_FALSE(link.empty());
+    EXPECT_FALSE(link.can_pop()) << "committed, but not before pushed_at + link_latency";
+    EXPECT_EQ(link.buffered_flits(), 4U);
+    EXPECT_EQ(link.peak_buffered_flits(), 4U);
+    ctx.step(); // cycle 1
+    ctx.step(); // cycle 2
+    EXPECT_FALSE(link.can_pop());
+    ctx.step(); // cycle 3
+    ASSERT_TRUE(link.can_pop());
+    (void)link.pop();
+    EXPECT_FALSE(link.can_pop()) << "the second flush committed nothing";
+    EXPECT_TRUE(link.empty());
+    // A pop frees the VC, but the producer sees it only at the next flush.
+    for (int c = 0; c < 4; ++c) { ctx.step(); } // past the serialization window
+    link.push(worm_of(2)); // the channel is free again once this worm is visible
+    for (int c = 0; c < 3; ++c) { ctx.step(); }
+    ASSERT_TRUE(link.can_pop());
+    (void)link.pop();
+    EXPECT_EQ(link.buffered_flits(), 2U) << "no flush since the pop";
+    EXPECT_FALSE(link.can_push(4));
+    link.flush_edge(ctx.now());
+    EXPECT_EQ(link.buffered_flits(), 0U);
+    EXPECT_TRUE(link.can_push(4));
+    EXPECT_NO_THROW(link.check_bounded());
 }
 
 // --- Whole-fabric conservation under the worst DoS cell ----------------------

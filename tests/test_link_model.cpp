@@ -1,14 +1,16 @@
 /// Randomized model check of the ring-buffer `sim::Link` and
-/// `sim::TimedQueue` against straightforward deque reference models with
-/// per-entry cycle stamps. The production classes dropped the stamps (a
-/// recent-count pair for `Link`, a `FlatRing` for `TimedQueue`) to flatten
-/// the hot path; these sweeps pin the observable behaviour to the naive
-/// semantics across capacities, timing disciplines, and drain hooks.
+/// `sim::StampedQueue` against straightforward deque reference models with
+/// per-entry cycle stamps. `Link` dropped the stamps (a recent-count pair)
+/// and `StampedQueue` stages into its own ring to flatten the hot path;
+/// these sweeps pin the observable behaviour to the naive semantics across
+/// capacities, timing disciplines, lanes, staging and drain hooks.
 #include "sim/context.hpp"
 #include "sim/link.hpp"
+#include "sim/stamped_queue.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <random>
 #include <string>
@@ -123,76 +125,148 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool(),          // registered / passthrough
                        ::testing::Values(0xC0FFEEU, 1U, 20260807U)));
 
-// --- TimedQueue vs a stamped-deque reference ---------------------------------
+// --- StampedQueue vs a stamped-deque reference --------------------------------
 
-struct RefTimedQueue {
+/// Per lane: a deque of committed (value, visible cycle) pairs and a deque
+/// of staged ones that a commit appends in staging order.
+struct RefStampedQueue {
     struct Entry {
         int value;
-        Cycle ready_at;
+        Cycle visible_at;
     };
-    std::deque<Entry> q;
+    std::vector<std::deque<Entry>> committed;
+    std::vector<std::deque<Entry>> staged;
 
-    [[nodiscard]] bool can_pop(Cycle now) const {
-        return !q.empty() && q.front().ready_at <= now;
+    explicit RefStampedQueue(std::size_t lanes) : committed(lanes), staged(lanes) {}
+
+    [[nodiscard]] bool can_pop(std::size_t lane, Cycle now) const {
+        return !committed[lane].empty() && committed[lane].front().visible_at <= now;
+    }
+    Cycle commit() {
+        Cycle first = kNoCycle;
+        for (std::size_t l = 0; l < staged.size(); ++l) {
+            for (const Entry& e : staged[l]) {
+                first = std::min(first, e.visible_at);
+                committed[l].push_back(e);
+            }
+            staged[l].clear();
+        }
+        return first;
     }
 };
 
-class TimedQueueModelSweep : public ::testing::TestWithParam<unsigned> {};
+/// Consumer that records nothing but its wake cycle.
+class Sleeper : public Component {
+public:
+    explicit Sleeper(SimContext& ctx) : Component{ctx, "sleeper"} {}
+    void tick() override { idle_forever(); }
+};
 
-TEST_P(TimedQueueModelSweep, AgreesWithTheStampedDequeModel) {
+class StampedQueueModelSweep
+    : public ::testing::TestWithParam<std::tuple<bool, unsigned>> {};
+
+TEST_P(StampedQueueModelSweep, AgreesWithTheStampedDequeModel) {
+    const auto [staged_use, seed] = GetParam();
+    constexpr std::size_t kCap = 5;
+    constexpr std::size_t kLanes = 2;
     SimContext ctx;
-    TimedQueue<int> dut{ctx, "dut"};
-    RefTimedQueue ref;
+    Sleeper consumer{ctx};
+    StampedQueue<int> dut{kCap, kLanes};
+    dut.set_consumer(&consumer);
+    RefStampedQueue ref{kLanes};
 
-    std::mt19937 rng{GetParam()};
+    std::mt19937 rng{seed};
     std::uniform_int_distribution<int> action{0, 99};
     std::uniform_int_distribution<int> delay{0, 5};
+    std::uniform_int_distribution<std::size_t> pick_lane{0, kLanes - 1};
     int next_value = 0;
 
-    for (int step = 0; step < 2000; ++step) {
+    for (int step = 0; step < 3000; ++step) {
         const Cycle now = ctx.now();
-        ASSERT_EQ(dut.can_pop(), ref.can_pop(now)) << "step " << step;
-        ASSERT_EQ(dut.size(), ref.q.size()) << "step " << step;
-        ASSERT_EQ(dut.empty(), ref.q.empty()) << "step " << step;
-        if (dut.can_pop()) {
-            ASSERT_EQ(dut.front(), ref.q.front().value) << "step " << step;
-        }
-
-        const int a = action(rng);
-        if (a < 40) { // enqueue with a service delay; completion is in-order
-            const Cycle ready = now + static_cast<Cycle>(delay(rng));
-            dut.push(next_value, ready);
-            ref.q.push_back({next_value, ready});
-            ++next_value;
-        } else if (a < 80) { // pop when the head has matured
-            if (dut.can_pop()) {
-                ASSERT_EQ(dut.pop(), ref.q.front().value) << "step " << step;
-                ref.q.pop_front();
+        for (std::size_t l = 0; l < kLanes; ++l) {
+            ASSERT_EQ(dut.can_pop(now, l), ref.can_pop(l, now)) << "step " << step;
+            ASSERT_EQ(dut.size(l), ref.committed[l].size()) << "step " << step;
+            ASSERT_EQ(dut.staged(l), ref.staged[l].size()) << "step " << step;
+            if (!ref.committed[l].empty()) {
+                ASSERT_EQ(dut.front(l), ref.committed[l].front().value) << "step " << step;
             }
-        } else if (a < 97) {
-            ctx.step();
+        }
+        ASSERT_EQ(dut.empty(), ref.committed[0].empty() && ref.committed[1].empty());
+
+        const std::size_t lane = pick_lane(rng);
+        const int a = action(rng);
+        if (a < 40) { // enqueue with a visible delay; completion is in-order
+            if (ref.committed[lane].size() + ref.staged[lane].size() < kCap) {
+                const Cycle visible = now + static_cast<Cycle>(delay(rng));
+                if (staged_use) {
+                    const bool first = ref.staged[0].empty() && ref.staged[1].empty();
+                    ASSERT_EQ(dut.stage(next_value, visible, lane), first) << "step " << step;
+                } else {
+                    dut.push(next_value, visible, lane);
+                    EXPECT_LE(consumer.wake_cycle(), visible) << "push wakes the consumer";
+                }
+                auto& ref_lane = (staged_use ? ref.staged : ref.committed)[lane];
+                ref_lane.push_back({next_value, visible});
+                ++next_value;
+            }
+        } else if (a < 75) { // pop when the head is visible
+            if (dut.can_pop(now, lane)) {
+                ASSERT_EQ(dut.pop(lane), ref.committed[lane].front().value) << "step " << step;
+                ref.committed[lane].pop_front();
+            }
+        } else if (a < 85) { // the edge flush; a second one must be a no-op
+            const Cycle first = ref.commit();
+            ASSERT_EQ(dut.commit(), first) << "step " << step;
+            EXPECT_LE(consumer.wake_cycle(), first) << "commit wakes the consumer";
+            ASSERT_EQ(dut.commit(), kNoCycle) << "step " << step;
         } else {
-            dut.clear();
-            ref.q.clear();
+            ctx.step();
         }
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, TimedQueueModelSweep,
-                         ::testing::Values(0xC0FFEEU, 1U, 20260807U));
+INSTANTIATE_TEST_SUITE_P(DirectAndStagedSeeds, StampedQueueModelSweep,
+                         ::testing::Combine(::testing::Bool(), // staged / direct
+                                            ::testing::Values(0xC0FFEEU, 1U, 20260807U)));
 
 // --- Head-of-line blocking (the one place the models could diverge) ----------
 
-TEST(TimedQueueModel, YoungerReadyEntriesWaitBehindAnUnreadyHead) {
+TEST(StampedQueueModel, YoungerVisibleEntriesWaitBehindAnUnreadyHead) {
     SimContext ctx;
-    TimedQueue<int> q{ctx, "hol"};
-    q.push(1, 5);           // head matures late
-    q.push(2, ctx.now());   // already mature, but behind the head
-    EXPECT_FALSE(q.can_pop());
+    StampedQueue<int> q{4};
+    q.push(1, 5);           // head becomes visible late
+    q.push(2, ctx.now());   // already visible, but behind the head
+    EXPECT_FALSE(q.can_pop(ctx.now()));
     while (ctx.now() < 5) { ctx.step(); }
-    ASSERT_TRUE(q.can_pop());
+    ASSERT_TRUE(q.can_pop(ctx.now()));
     EXPECT_EQ(q.pop(), 1);
     EXPECT_EQ(q.pop(), 2);
+}
+
+// --- One-shot waits ----------------------------------------------------------
+
+TEST(StampedQueueModel, WaitReturnsTheHeadAndWakesOnce) {
+    SimContext ctx;
+    Sleeper taker{ctx};
+    ctx.step(); // the sleeper declares itself idle forever
+    ASSERT_EQ(taker.wake_cycle(), kNoCycle);
+    StampedQueue<int> q{4};
+    EXPECT_EQ(q.wait(taker), kNoCycle) << "nothing committed";
+    ASSERT_TRUE(q.stage(7, 9));
+    EXPECT_EQ(taker.wake_cycle(), kNoCycle) << "a staged entry wakes nobody";
+    EXPECT_EQ(q.commit(), 9U);
+    EXPECT_EQ(taker.wake_cycle(), 9U) << "the commit wakes the waiter at the stamp";
+    EXPECT_EQ(q.wait(taker), 9U) << "wait reports the committed head";
+    ctx.run(10); // the taker ticks at cycle 9 and sleeps again
+    ASSERT_EQ(taker.wake_cycle(), kNoCycle);
+    ASSERT_TRUE(q.stage(8, ctx.now() + 2));
+    q.commit();
+    EXPECT_EQ(taker.wake_cycle(), ctx.now() + 2);
+    ctx.run(3);
+    ASSERT_EQ(taker.wake_cycle(), kNoCycle);
+    ASSERT_TRUE(q.stage(9, ctx.now() + 2));
+    q.commit();
+    EXPECT_EQ(taker.wake_cycle(), kNoCycle) << "a wait wakes once";
 }
 
 } // namespace

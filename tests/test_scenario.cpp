@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace realm::scenario {
@@ -288,16 +290,48 @@ TEST(Resume, JsonRoundTripIsATextFixpoint) {
         p.config.monitors.enabled = true;
         p.config.monitor_llc_on_core = true;
     }
-    auto results = ScenarioRunner{RunnerOptions{.threads = 2}}.run(sweep);
-    // The derived `sim_cycles_per_sec` is recomputed from the dumped wall
-    // time, which is rounded to 6 digits; a wall time that is already round
-    // keeps that derived key stable too.
-    for (ScenarioResult& r : results) { r.wall_seconds = 0.5; }
+    const auto results = ScenarioRunner{RunnerOptions{.threads = 2}}.run(sweep);
     const std::string text = dump_text(sweep, results);
     EXPECT_EQ(reloaded_text(sweep, results), text);
     EXPECT_NE(text.find("\"mgr_occ_milli\""), std::string::npos);
     EXPECT_GT(results[0].core_mr_read_lat_mean, 0.0);
     EXPECT_GT(results[0].dma_mr_bytes_total, 0U);
+}
+
+/// Converts to any member type; `T{AnyField{}...}` compiles iff `T` is an
+/// aggregate with at least that many members.
+struct AnyField {
+    template <typename T>
+    operator T() const; // declared only: used in unevaluated contexts
+};
+
+template <typename T, std::size_t... I>
+constexpr bool brace_constructible(std::index_sequence<I...>) {
+    return requires { T{(void(I), AnyField{})...}; };
+}
+
+/// Number of members of the aggregate `T` (none of which is itself an
+/// aggregate, so brace elision cannot absorb extra initializers).
+template <typename T, std::size_t N = 0>
+constexpr std::size_t aggregate_arity() {
+    if constexpr (brace_constructible<T>(std::make_index_sequence<N + 1>{})) {
+        return aggregate_arity<T, N + 1>();
+    } else {
+        return N;
+    }
+}
+
+template <typename T>
+std::size_t table_size() {
+    std::size_t n = 0;
+    T::for_each_field([&](const char*, auto, FieldTag) { ++n; });
+    return n;
+}
+
+TEST(Resume, FieldTablesListEveryMember) {
+    // A member left out of the table is neither dumped nor compared.
+    EXPECT_EQ(table_size<ScenarioResult>(), aggregate_arity<ScenarioResult>());
+    EXPECT_EQ(table_size<ProfileRow>(), aggregate_arity<ProfileRow>());
 }
 
 TEST(Resume, EveryTableFieldReachesTheDumpAndReadsBack) {
@@ -441,6 +475,30 @@ TEST(Resume, RunResumedSkipsMatchingPointsAndRerunsChangedOnes) {
     EXPECT_EQ(reused, 0U);
     EXPECT_EQ(cold.size(), sweep.points.size());
     std::remove(path.c_str());
+}
+
+TEST(Resume, ResumedPointsAreBitIdenticalToTheFreshRun) {
+    // Every semantic double (latency means, bandwidths) must read back
+    // exactly, not rounded to the dump's print precision.
+    Sweep sweep = quick_smoke_sweep();
+    const ScenarioRunner runner{RunnerOptions{.threads = 2}};
+    const auto fresh = runner.run(sweep);
+    const std::string path = "scenario_resume_exact.json";
+    ASSERT_TRUE(write_json_file(path, sweep, fresh));
+    std::size_t reused = 0;
+    const auto resumed = runner.run_resumed(sweep, path, &reused);
+    std::remove(path.c_str());
+    ASSERT_EQ(reused, sweep.points.size());
+    bool long_double_seen = false; // a mean that 6 digits would round
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+        SCOPED_TRACE(fresh[i].label);
+        EXPECT_EQ(semantic_mismatches(fresh[i], resumed[i]), std::vector<std::string>{});
+        EXPECT_EQ(resumed[i].wall_seconds, fresh[i].wall_seconds);
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%.6g", fresh[i].load_lat_mean);
+        long_double_seen |= std::strtod(buf, nullptr) != fresh[i].load_lat_mean;
+    }
+    EXPECT_TRUE(long_double_seen) << "the sweep must exercise non-round doubles";
 }
 
 TEST(Resume, MonitoredPointsNeverAliasUnmonitoredCaches) {

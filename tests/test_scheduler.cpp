@@ -613,7 +613,8 @@ scenario::ScenarioConfig credit_starved_budget_point(const char* sweep_name,
 
 TEST(SchedulerEquivalence, CreditStarvedBudgetRingBitIdentical) {
     // Return delay 0 releases credits inline (`release`); a delay rides the
-    // returns on the response network (`release_at`). Both wake the waiter.
+    // returns on the response network (a stamped pending return). Both wake
+    // the waiter.
     for (const std::uint32_t return_delay : {0U, 3U}) {
         const auto run_one = [&](Scheduler scheduler) {
             scenario::ScenarioConfig cfg =

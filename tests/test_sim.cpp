@@ -1,10 +1,11 @@
-/// Unit tests for the simulation kernel: links, timed queues, context, RNG,
+/// Unit tests for the simulation kernel: links, stamped queues, context, RNG,
 /// statistics.
 #include "sim/check.hpp"
 #include "sim/component.hpp"
 #include "sim/context.hpp"
 #include "sim/link.hpp"
 #include "sim/rng.hpp"
+#include "sim/stamped_queue.hpp"
 #include "sim/stats.hpp"
 
 #include <gtest/gtest.h>
@@ -84,23 +85,23 @@ TEST(Link, ClearDropsContents) {
     EXPECT_EQ(link.occupancy(), 0U);
 }
 
-TEST(TimedQueue, HonorsReadyCycle) {
+TEST(StampedQueue, HonorsVisibleCycle) {
     SimContext ctx;
-    TimedQueue<int> q{ctx, "q"};
+    StampedQueue<int> q{4};
     q.push(1, 3);
-    EXPECT_FALSE(q.can_pop());
+    EXPECT_FALSE(q.can_pop(ctx.now()));
     ctx.run(3);
-    ASSERT_TRUE(q.can_pop());
+    ASSERT_TRUE(q.can_pop(ctx.now()));
     EXPECT_EQ(q.pop(), 1);
 }
 
-TEST(TimedQueue, HeadBlocksYoungerEntries) {
+TEST(StampedQueue, HeadBlocksYoungerEntries) {
     SimContext ctx;
-    TimedQueue<int> q{ctx, "q"};
+    StampedQueue<int> q{4};
     q.push(1, 10);
-    q.push(2, 0); // ready earlier but behind the head
+    q.push(2, 0); // visible earlier but behind the head
     ctx.run(5);
-    EXPECT_FALSE(q.can_pop()) << "completion must stay in order";
+    EXPECT_FALSE(q.can_pop(ctx.now())) << "completion must stay in order";
     ctx.run(5);
     EXPECT_EQ(q.pop(), 1);
     EXPECT_EQ(q.pop(), 2);
